@@ -45,8 +45,8 @@ grep -q '"format": "stackvm"' "$smoke_dir/seq.json"
 echo "== strategy registry smoke (--list-strategies enumerates the zoo) =="
 # The CLI's strategy table is generated from the registry, not a hardcoded
 # list: the baseline zoo and the trace-guided mode must show up with their
-# capability flags, and trace-guided must not claim the engine capability
-# (it runs the scan-based MSA only).
+# capability flags, and trace-guided must claim the engine capability (its
+# GBR pass runs on the shared core loop, which honors --engine/--legacy).
 strategies=$(./target/release/reduce --list-strategies)
 for s in "logical/greedy" "jreduce" "ddmin-items" "hdd" "transform" "logical/trace-guided"; do
     echo "$strategies" | grep -q "^$s " || {
@@ -54,7 +54,7 @@ for s in "logical/greedy" "jreduce" "ddmin-items" "hdd" "transform" "logical/tra
         exit 1
     }
 done
-echo "$strategies" | grep "^logical/trace-guided " | grep -qv "engine"
+echo "$strategies" | grep "^logical/trace-guided " | grep -q "engine"
 echo "$strategies" | grep "^logical/trace-guided " | grep -q "model"
 
 echo "== CDCL/DPLL differential smoke (bit-identical engines) =="
@@ -88,6 +88,29 @@ cmp "$smoke_dir/svm-dpll.lbrs" "$smoke_dir/svm-cdcl.lbrs"
 svm_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/svm-dpll.json")
 svm_cdcl=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/svm-cdcl.json")
 [ -n "$svm_digest" ] && [ "$svm_digest" = "$svm_cdcl" ]
+
+echo "== trace-guided engine smoke (DPLL, CDCL and legacy scan agree) =="
+# Trace-guided's GBR pass honors --engine and --legacy; each is a pure speed
+# choice, so all three runs must produce byte-identical output and the same
+# probe-trace digest, on both formats.
+for fmt in classfile stackvm; do
+    case "$fmt" in
+        classfile) in="$smoke_dir/engine.lbrc" ;;
+        stackvm) in="$smoke_dir/svm.lbrs" ;;
+    esac
+    for mode in "--engine dpll" "--engine cdcl" "--legacy"; do
+        tag=$(echo "$mode" | tr -d ' -')
+        ./target/release/reduce --format "$fmt" --input "$in" --decompiler a \
+            --strategy trace-guided $mode --out "$smoke_dir/tg-$fmt-$tag.out" \
+            --json "$smoke_dir/tg-$fmt-$tag.json" >/dev/null 2>&1
+    done
+    cmp "$smoke_dir/tg-$fmt-enginedpll.out" "$smoke_dir/tg-$fmt-enginecdcl.out"
+    cmp "$smoke_dir/tg-$fmt-enginedpll.out" "$smoke_dir/tg-$fmt-legacy.out"
+    tg_dpll=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/tg-$fmt-enginedpll.json")
+    tg_cdcl=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/tg-$fmt-enginecdcl.json")
+    tg_legacy=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/tg-$fmt-legacy.json")
+    [ -n "$tg_dpll" ] && [ "$tg_dpll" = "$tg_cdcl" ] && [ "$tg_dpll" = "$tg_legacy" ]
+done
 
 echo "== reduction daemon smoke (identical results, kill -9 resume) =="
 # A daemon job must be bit-identical to an in-process `reduce` run, and a

@@ -8,6 +8,7 @@
 //!        [--out reduced.lbrc] [--json report.json] [--disasm]
 //!        [--per-error] [--cost SECS] [--probe-threads N]
 //!        [--engine dpll|cdcl] [--order baseline|learned|portfolio]
+//!        [--legacy]
 //! ```
 //!
 //! `--strategy` takes any name in the strategy registry (see
@@ -24,7 +25,9 @@
 //! logical strategies' complete searches with the CDCL solver — same
 //! output, different solver effort — and `--order` picks the GBR variable
 //! order of the `logical` strategy (each choice is deterministic, but
-//! different choices may commit different sound results). `--json` writes a small
+//! different choices may commit different sound results). `--legacy` runs
+//! the scan-based propagation baseline without the per-run memo — same
+//! output, the pre-engine speed. `--json` writes a small
 //! machine-readable report (sizes, predicate calls, trace digest) for
 //! comparing runs — the CI daemon smoke test diffs it against the
 //! service's result document.
@@ -34,7 +37,7 @@
 //! fails, `2` on usage errors.
 
 use lbr_classfile::{disassemble_program, read_program, write_class_directory};
-use lbr_core::{EngineChoice, Input, InputOracle};
+use lbr_core::{EngineChoice, Input, InputOracle, PropagationMode};
 use lbr_decompiler::{BugSet, DecompilerOracle};
 use lbr_jreduce::{check_report, OrderChoice, ReductionSession, RunOptions};
 use lbr_service::{atomic_write, atomic_write_str, Json};
@@ -123,6 +126,10 @@ fn main() {
                     }
                 }
             }
+            "--legacy" => {
+                run.options.propagation = PropagationMode::LegacyScan;
+                run.options.memoize = false;
+            }
             "--disasm" => run.disasm = true,
             "--per-error" => run.per_error = true,
             "--list-strategies" => {
@@ -139,6 +146,7 @@ fn main() {
                 println!("              [--disasm] [--per-error] [--cost SECS]");
                 println!("              [--probe-threads N] [--probe-latency-micros N]");
                 println!("              [--engine dpll|cdcl] [--order baseline|learned|portfolio]");
+                println!("              [--legacy]");
                 return;
             }
             other => {

@@ -719,7 +719,11 @@ pub fn render_compare(records: &[RunRecord]) -> String {
     let _ = writeln!(out, "# E7: strategy zoo × input format");
     let _ = writeln!(
         out,
-        "#     geo-means per (strategy, format); calls is the predicate-call count"
+        "#     geo-means per (strategy, format); calls is the predicate-call count,"
+    );
+    let _ = writeln!(
+        out,
+        "#     wall s the total reduction wall time over the suite (not deterministic)"
     );
     let mut order: Vec<String> = compare_strategies()
         .into_iter()
@@ -738,8 +742,8 @@ pub fn render_compare(records: &[RunRecord]) -> String {
     formats.dedup();
     let _ = writeln!(
         out,
-        "{:<24} {:<10} {:>4} {:>10} {:>10} {:>10} {:>8}",
-        "strategy", "format", "n", "bytes%", "classes%", "calls", "sound"
+        "{:<24} {:<10} {:>4} {:>10} {:>10} {:>10} {:>8} {:>8}",
+        "strategy", "format", "n", "bytes%", "classes%", "calls", "wall s", "sound"
     );
     for s in &order {
         for format in &formats {
@@ -753,34 +757,44 @@ pub fn render_compare(records: &[RunRecord]) -> String {
             let bytes = geometric_mean(rs.iter().map(|r| 100.0 * r.relative_bytes()));
             let classes = geometric_mean(rs.iter().map(|r| 100.0 * r.relative_classes()));
             let calls = geometric_mean(rs.iter().map(|r| r.calls as f64));
+            let wall: f64 = rs.iter().map(|r| r.wall_secs).sum();
             let sound = rs.iter().all(|r| r.sound);
             let _ = writeln!(
                 out,
-                "{s:<24} {format:<10} {:>4} {bytes:>9.1}% {classes:>9.1}% {calls:>10.1} {:>8}",
+                "{s:<24} {format:<10} {:>4} {bytes:>9.1}% {classes:>9.1}% {calls:>10.1} {wall:>8.2} {:>8}",
                 rs.len(),
                 if sound { "yes" } else { "NO" }
             );
         }
     }
-    // The headline claim of the trace-guided mode: fewer predicate calls
-    // than the plain greedy GBR it layers on, per format.
+    // The headline claims of the trace-guided mode, per format: fewer
+    // predicate calls than the plain greedy GBR it layers on, and its
+    // total wall time next to greedy's.
     for format in &formats {
-        let calls_of = |name: &str| {
-            let rs: Vec<&RunRecord> = records
+        let runs_of = |name: &str| -> Vec<&RunRecord> {
+            records
                 .iter()
                 .filter(|r| r.strategy == name && &r.format == format)
-                .collect();
-            (!rs.is_empty()).then(|| geometric_mean(rs.iter().map(|r| r.calls as f64)))
+                .collect()
         };
-        if let (Some(plain), Some(traced)) =
-            (calls_of("logical/greedy"), calls_of("logical/trace-guided"))
-        {
-            let _ = writeln!(
-                out,
-                "\n{format}: trace-guided makes {traced:.1} calls (geo-mean) vs {plain:.1} for logical/greedy ({:+.1}%)",
-                100.0 * (traced / plain.max(1e-9) - 1.0)
-            );
+        let (plain, traced) = (runs_of("logical/greedy"), runs_of("logical/trace-guided"));
+        if plain.is_empty() || traced.is_empty() {
+            continue;
         }
+        let calls = |rs: &[&RunRecord]| geometric_mean(rs.iter().map(|r| r.calls as f64));
+        let wall = |rs: &[&RunRecord]| rs.iter().map(|r| r.wall_secs).sum::<f64>();
+        let (plain_calls, traced_calls) = (calls(&plain), calls(&traced));
+        let _ = writeln!(
+            out,
+            "\n{format}: trace-guided makes {traced_calls:.1} calls (geo-mean) vs {plain_calls:.1} for logical/greedy ({:+.1}%)",
+            100.0 * (traced_calls / plain_calls.max(1e-9) - 1.0)
+        );
+        let _ = writeln!(
+            out,
+            "{format}: trace-guided wall {:.2} s vs logical/greedy {:.2} s",
+            wall(&traced),
+            wall(&plain)
+        );
     }
     out
 }

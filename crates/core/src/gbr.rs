@@ -61,6 +61,23 @@ pub enum EngineChoice {
     Cdcl,
 }
 
+/// How each GBR iteration searches its progression for the minimal
+/// failing prefix `D^∪_r`. Under a monotone predicate that prefix is
+/// unique, so the policies learn the same sets and differ only in which
+/// prefixes they probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum BoundarySearch {
+    /// Binary search over the whole progression (the paper's algorithm).
+    #[default]
+    Bisect,
+    /// Probe backward from the end — `gap`, `2·gap`, … entries before the
+    /// last prefix — until a prefix passes, then bisect the bracket. `gap`
+    /// is the previous iteration's `max(last − r, 1)`, starting at 1: when
+    /// the boundary sits near the end, `1 + 2·log2(gap)` probes replace
+    /// `1 + log2 n`.
+    Gallop,
+}
+
 /// Configuration for [`generalized_binary_reduction`].
 #[derive(Debug, Clone)]
 pub struct GbrConfig {
@@ -82,6 +99,10 @@ pub struct GbrConfig {
     /// Which complete-search solver backs the MSA computations. Does not
     /// affect results, only solver effort per progression.
     pub engine: EngineChoice,
+    /// How each iteration searches for the minimal failing prefix. Does
+    /// not affect the solution under a monotone predicate, only which
+    /// prefixes are probed.
+    pub boundary_search: BoundarySearch,
 }
 
 impl Default for GbrConfig {
@@ -92,6 +113,7 @@ impl Default for GbrConfig {
             max_predicate_calls: None,
             propagation: PropagationMode::default(),
             engine: EngineChoice::default(),
+            boundary_search: BoundarySearch::default(),
         }
     }
 }
@@ -327,6 +349,9 @@ fn gbr_loop<D: ProbeDriver>(
         .max_iterations
         .unwrap_or_else(|| 4 * instance.vars.len() + 16);
     let cancelled = |control: &GbrControl<'_>| control.cancel.is_some_and(|c| c());
+    // The previous iteration's boundary distance from the end of its
+    // progression, where a [`BoundarySearch::Gallop`] starts.
+    let mut gap = 1usize;
 
     for iteration in start_iteration..=max_iterations {
         if iteration == max_iterations {
@@ -344,20 +369,21 @@ fn gbr_loop<D: ProbeDriver>(
             acc.union_with(d);
             prefix_unions.push(acc.clone());
         }
-        driver.retarget(&prefix_unions, 0, progression.len() - 1, 0);
-        // Anytime stop: the current search space is itself a valid failing
-        // input (invariant), so a best-so-far answer always exists.
-        let Some(d0_fails) = driver.test(&prefix_unions[0]) else {
-            return Ok(anytime_outcome(
-                driver,
-                search_space,
-                iteration,
+        let policy = config.boundary_search;
+        let found = find_boundary(driver, &prefix_unions, policy, gap, || cancelled(control));
+        driver.search_done();
+        let Some(r) = found? else {
+            // Anytime stop: the current search space is itself a valid
+            // failing input (invariant), so a best-so-far answer exists.
+            return Ok(GbrOutcome {
+                solution: driver.take_best().unwrap_or(search_space),
+                iterations: iteration,
                 learned,
                 progression_lengths,
-            ));
+                budget_exhausted: true,
+            });
         };
-        if d0_fails {
-            driver.search_done();
+        if r == 0 {
             return Ok(GbrOutcome {
                 solution: prefix_unions[0].clone(),
                 iterations: iteration,
@@ -366,61 +392,7 @@ fn gbr_loop<D: ProbeDriver>(
                 budget_exhausted: false,
             });
         }
-        if progression.len() == 1 {
-            // D^∪ = D₀ and P(D₀) failed: the invariant P(D^∪) is broken.
-            driver.search_done();
-            return Err(GbrError::PredicateNotMonotone);
-        }
-        // Binary search for the minimal r with P(D^∪_r). Invariant
-        // (INV-PRO) guarantees P holds at the full progression; lo is
-        // always a failing index, hi a (presumed) succeeding one.
-        let mut lo = 0usize;
-        let mut hi = progression.len() - 1;
-        let mut hi_verified = false;
-        while hi - lo > 1 {
-            if cancelled(control) {
-                driver.search_done();
-                return Err(GbrError::Cancelled);
-            }
-            let mid = lo + (hi - lo) / 2;
-            let Some(mid_fails) = driver.test(&prefix_unions[mid]) else {
-                return Ok(anytime_outcome(
-                    driver,
-                    search_space,
-                    iteration,
-                    learned,
-                    progression_lengths,
-                ));
-            };
-            if mid_fails {
-                hi = mid;
-                hi_verified = true;
-            } else {
-                lo = mid;
-            }
-            let next = if hi - lo > 1 { lo + (hi - lo) / 2 } else { hi };
-            driver.retarget(&prefix_unions, lo, hi, next);
-        }
-        if !hi_verified {
-            match driver.test(&prefix_unions[hi]) {
-                None => {
-                    return Ok(anytime_outcome(
-                        driver,
-                        search_space,
-                        iteration,
-                        learned,
-                        progression_lengths,
-                    ))
-                }
-                Some(false) => {
-                    driver.search_done();
-                    return Err(GbrError::PredicateNotMonotone);
-                }
-                Some(true) => {}
-            }
-        }
-        driver.search_done();
-        let r = hi;
+        gap = (progression.len() - 1 - r).max(1);
         learned.push(progression[r].clone());
         search_space = prefix_unions[r].clone();
         progression = propagator.progression(
@@ -481,20 +453,71 @@ impl ProbeDriver for Budgeted<'_> {
     }
 }
 
-fn anytime_outcome<D: ProbeDriver>(
+/// One iteration's probes: `D₀`, then the search for the minimal `r` with
+/// `P(D^∪_r)` under `policy` (`Some(0)` when `D₀` itself fails; `None` once
+/// the anytime budget is spent). Invariant (INV-PRO) guarantees P holds at
+/// the full progression; `lo` is always a failing index, `hi` a (presumed)
+/// succeeding one. A gallop probes `last - offset` for offsets `gap`,
+/// `2·gap`, … until a prefix passes (`P` false), then bisects the bracket.
+fn find_boundary<D: ProbeDriver>(
     driver: &mut D,
-    search_space: VarSet,
-    iterations: usize,
-    learned: Vec<VarSet>,
-    progression_lengths: Vec<usize>,
-) -> GbrOutcome {
-    GbrOutcome {
-        solution: driver.take_best().unwrap_or(search_space),
-        iterations,
-        learned,
-        progression_lengths,
-        budget_exhausted: true,
+    prefix_unions: &[VarSet],
+    policy: BoundarySearch,
+    gap: usize,
+    cancelled: impl Fn() -> bool,
+) -> Result<Option<usize>, GbrError> {
+    let last = prefix_unions.len() - 1;
+    driver.retarget(prefix_unions, 0, last, 0);
+    let Some(d0_fails) = driver.test(&prefix_unions[0]) else {
+        return Ok(None);
+    };
+    if d0_fails {
+        return Ok(Some(0));
     }
+    if last == 0 {
+        // D^∪ = D₀ and P(D₀) failed: the invariant P(D^∪) is broken.
+        return Err(GbrError::PredicateNotMonotone);
+    }
+    let mut gallop = match policy {
+        BoundarySearch::Bisect => None,
+        BoundarySearch::Gallop => Some(gap),
+    };
+    let next_probe = |lo: usize, hi: usize, gallop: Option<usize>| match gallop {
+        Some(offset) if offset < last => last - offset,
+        _ => lo + (hi - lo) / 2,
+    };
+    let (mut lo, mut hi, mut hi_verified) = (0, last, false);
+    while hi - lo > 1 {
+        if cancelled() {
+            return Err(GbrError::Cancelled);
+        }
+        let mid = next_probe(lo, hi, gallop);
+        let Some(mid_fails) = driver.test(&prefix_unions[mid]) else {
+            return Ok(None);
+        };
+        if mid_fails {
+            hi = mid;
+            hi_verified = true;
+            gallop = gallop.map(|offset| offset.saturating_mul(2));
+        } else {
+            lo = mid;
+            gallop = None;
+        }
+        let next = if hi - lo > 1 {
+            next_probe(lo, hi, gallop)
+        } else {
+            hi
+        };
+        driver.retarget(prefix_unions, lo, hi, next);
+    }
+    if !hi_verified {
+        match driver.test(&prefix_unions[hi]) {
+            None => return Ok(None),
+            Some(false) => return Err(GbrError::PredicateNotMonotone),
+            Some(true) => {}
+        }
+    }
+    Ok(Some(hi))
 }
 
 /// Tuning knobs for [`generalized_binary_reduction_speculative`].

@@ -76,8 +76,9 @@ pub use gbr::{
     build_progression, generalized_binary_reduction, generalized_binary_reduction_controlled,
     generalized_binary_reduction_portfolio, generalized_binary_reduction_portfolio_controlled,
     generalized_binary_reduction_speculative, generalized_binary_reduction_speculative_controlled,
-    generalized_binary_reduction_with_source, EngineChoice, GbrCheckpoint, GbrConfig, GbrControl,
-    GbrError, GbrOutcome, PortfolioRun, PropagationMode, SpeculationConfig, SpeculativeRun,
+    generalized_binary_reduction_with_source, BoundarySearch, EngineChoice, GbrCheckpoint,
+    GbrConfig, GbrControl, GbrError, GbrOutcome, PortfolioRun, PropagationMode, SpeculationConfig,
+    SpeculativeRun,
 };
 pub use graph::{Closure, DepGraph};
 pub use hitting::{reduction_is_faithful, HittingSet};

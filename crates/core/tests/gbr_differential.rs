@@ -4,10 +4,15 @@
 //! solution, same iteration count, same learned sets, same progression
 //! lengths, and exactly the same number of predicate calls. The speedup
 //! must be free.
+//!
+//! The same holds across boundary-search policies: under a monotone
+//! predicate `BoundarySearch::Gallop` learns exactly what `Bisect` learns,
+//! and a gallop probes the identical sequence under either propagation
+//! mode.
 
 use lbr_core::{
-    build_progression, closure_size_order, generalized_binary_reduction, GbrConfig, Instance,
-    Oracle, PropagationMode,
+    build_progression, closure_size_order, generalized_binary_reduction, BoundarySearch, GbrConfig,
+    Instance, Oracle, PropagationMode,
 };
 use lbr_logic::{Clause, Cnf, MsaStrategy, Var, VarOrder, VarSet};
 use lbr_prng::SplitMix64;
@@ -149,4 +154,104 @@ fn legacy_build_progression_still_matches_paper_shape() {
         assert!(inst.cnf.eval(&acc));
     }
     assert_eq!(acc, inst.vars);
+}
+
+/// A run's observable outcome plus every probed subset, in order.
+fn run_recorded(
+    instance: &Instance,
+    order: &VarOrder,
+    config: &GbrConfig,
+    needed: &[Var],
+) -> (GbrRun, Vec<VarSet>) {
+    let mut probes = Vec::new();
+    let mut bug = |s: &VarSet| {
+        probes.push(s.clone());
+        needed.iter().all(|v| s.contains(*v))
+    };
+    let out = generalized_binary_reduction(instance, order, &mut bug, config)
+        .map(|o| (o.solution, o.iterations, o.learned, o.progression_lengths));
+    (out, probes)
+}
+
+#[test]
+fn gallop_learns_what_bisect_learns_and_replays_under_legacy_scan() {
+    let mut checked = 0;
+    let mut gallop_calls = 0usize;
+    let mut bisect_calls = 0usize;
+    for seed in 0..40u64 {
+        let mut rng = SplitMix64::seed_from_u64(9100 + seed);
+        let n = rng.gen_range(8..48usize);
+        let cnf = random_model(&mut rng, n);
+        if !cnf.eval(&VarSet::full(n)) {
+            continue;
+        }
+        let needed: Vec<Var> = (0..rng.gen_range(1..=4))
+            .map(|_| Var::new(rng.gen_range(0..n as u32)))
+            .collect();
+        let order = closure_size_order(&cnf);
+        let instance = Instance::over_all_vars(cnf);
+        for strategy in MsaStrategy::ALL {
+            let config = |boundary_search, propagation| GbrConfig {
+                msa_strategy: strategy,
+                boundary_search,
+                propagation,
+                ..GbrConfig::default()
+            };
+            let (bisect, bisect_probes) = run_recorded(
+                &instance,
+                &order,
+                &config(BoundarySearch::Bisect, PropagationMode::Incremental),
+                &needed,
+            );
+            let (gallop, gallop_probes) = run_recorded(
+                &instance,
+                &order,
+                &config(BoundarySearch::Gallop, PropagationMode::Incremental),
+                &needed,
+            );
+            let (legacy, legacy_probes) = run_recorded(
+                &instance,
+                &order,
+                &config(BoundarySearch::Gallop, PropagationMode::LegacyScan),
+                &needed,
+            );
+            assert_eq!(gallop, bisect, "seed {seed} {strategy:?}: gallop vs bisect");
+            assert_eq!(legacy, gallop, "seed {seed} {strategy:?}: legacy gallop");
+            assert_eq!(
+                legacy_probes, gallop_probes,
+                "seed {seed} {strategy:?}: gallop probe sequences diverge"
+            );
+            gallop_calls += gallop_probes.len();
+            bisect_calls += bisect_probes.len();
+            checked += 1;
+        }
+    }
+    assert!(checked >= 60, "too few non-degenerate draws: {checked}");
+    // The policies must actually differ somewhere, or the comparison
+    // above proves nothing about the gallop.
+    assert_ne!(gallop_calls, bisect_calls, "gallop never changed a probe");
+}
+
+#[test]
+fn gallop_probes_backward_from_the_end() {
+    // No constraints, natural order: the progression is [∅, {0}, …, {31}],
+    // and a bug needing variable 30 puts the boundary at the second-to-last
+    // prefix — one gallop step away.
+    let instance = Instance::over_all_vars(Cnf::new(32));
+    let order = VarOrder::natural(32);
+    let needed = [Var::new(30)];
+    let config = |boundary_search| GbrConfig {
+        boundary_search,
+        ..GbrConfig::default()
+    };
+    let (gallop, gallop_probes) =
+        run_recorded(&instance, &order, &config(BoundarySearch::Gallop), &needed);
+    let (bisect, bisect_probes) =
+        run_recorded(&instance, &order, &config(BoundarySearch::Bisect), &needed);
+    assert_eq!(gallop, bisect);
+    // D₀, then prefixes 31 and 30 (offsets 1 and 2), then the second
+    // iteration's D₀ = {30}.
+    let sizes: Vec<usize> = gallop_probes.iter().map(VarSet::len).collect();
+    assert_eq!(sizes, vec![0, 31, 30, 1]);
+    assert!(gallop_probes.len() < bisect_probes.len());
 }

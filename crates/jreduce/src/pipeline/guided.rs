@@ -22,12 +22,12 @@
 use crate::pipeline::probe::{wrap_oracle, CandidateProbe};
 use crate::pipeline::{PipelineError, RunOptions, ServiceHooks};
 use lbr_core::{
-    build_progression, closure_size_order, ddmin, generalized_binary_reduction_controlled,
-    history_order, ConcurrentPredicate, DepGraph, GbrCheckpoint, GbrConfig, GbrControl, GbrError,
-    Input, InputOracle, Instance, LatencyLayer, OracleStack, Predicate, ProbeStats, ReductionTrace,
-    StrategyOutput, TestOutcome, TraceLayer,
+    closure_size_order, ddmin, generalized_binary_reduction_controlled, history_order,
+    BoundarySearch, ConcurrentPredicate, DepGraph, GbrCheckpoint, GbrConfig, GbrControl, Input,
+    InputOracle, Instance, LatencyLayer, OracleStack, ProbeStats, ReductionTrace, StrategyOutput,
+    TestOutcome, TraceLayer,
 };
-use lbr_logic::{ClauseShape, Cnf, MsaStrategy, Var, VarSet};
+use lbr_logic::{ClauseShape, Cnf, Var, VarOrder, VarSet};
 use std::cell::Cell;
 use std::time::Instant;
 
@@ -144,6 +144,62 @@ pub(crate) fn run_hdd<I: Input, O: InputOracle<I> + ?Sized>(
     })
 }
 
+/// The GBR pass `transform` and `trace-guided` end with: one call into
+/// the core loop over the full model, started from `search_space` (a
+/// valid failing input) as a synthetic resume checkpoint. Probes run
+/// through `stack` and are appended to `trace`. Returns the solution and
+/// the pass's predicate calls, memo hits and memo misses.
+#[allow(clippy::too_many_arguments)]
+fn gbr_pass(
+    stack: &dyn ConcurrentPredicate,
+    cnf: Cnf,
+    order: &VarOrder,
+    search_space: VarSet,
+    boundary_search: BoundarySearch,
+    cancel: Option<&(dyn Fn() -> bool + Sync)>,
+    cost: f64,
+    options: &RunOptions,
+    trace: &mut ReductionTrace,
+) -> Result<(VarSet, u64, u64, u64), PipelineError> {
+    let config = GbrConfig {
+        propagation: options.propagation,
+        engine: options.engine,
+        boundary_search,
+        ..GbrConfig::default()
+    };
+    let mut control = GbrControl {
+        cancel,
+        resume: Some(GbrCheckpoint {
+            iterations: 0,
+            learned: Vec::new(),
+            search_space,
+            best: None,
+        }),
+        ..GbrControl::default()
+    };
+    let last_bytes = Cell::new(0u64);
+    let mut predicate = |k: &VarSet| {
+        let probe = stack.probe(k);
+        last_bytes.set(probe.size);
+        probe.outcome
+    };
+    let mut wrapped = wrap_oracle(&mut predicate, cost, |_| last_bytes.get(), options);
+    let outcome = generalized_binary_reduction_controlled(
+        &Instance::over_all_vars(cnf),
+        order,
+        &mut wrapped,
+        &config,
+        &mut control,
+    )?;
+    let (calls, hits, misses) = (
+        wrapped.calls(),
+        wrapped.cache_hits(),
+        wrapped.cache_misses(),
+    );
+    trace.append_sequential(&wrapped.into_trace());
+    Ok((outcome.solution, calls, hits, misses))
+}
+
 /// Transformation passes before logical reduction: try dropping each
 /// whole containment level (deepest first — "stub every body" before
 /// "drop every member"), keep the rewrites that preserve the failure,
@@ -196,44 +252,22 @@ pub(crate) fn run_transform<I: Input, O: InputOracle<I> + ?Sized>(
             keep = candidate;
         }
     }
-    // The logical pass: GBR over the full model, resumed from the
-    // transformed keep-set (a valid failing input by construction — every
-    // adopted rewrite was probed).
+    // The logical pass, resumed from the transformed keep-set (a valid
+    // failing input by construction — every adopted rewrite was probed).
     let order = closure_size_order(cnf);
-    let instance = Instance::over_all_vars(model.cnf.clone());
-    let config = GbrConfig {
-        propagation: options.propagation,
-        engine: options.engine,
-        ..GbrConfig::default()
-    };
-    let mut control = GbrControl::default();
-    if keep.len() < n {
-        control.resume = Some(GbrCheckpoint {
-            iterations: 0,
-            learned: Vec::new(),
-            search_space: keep.clone(),
-            best: Some(keep),
-        });
-    }
-    let last_bytes = Cell::new(0u64);
-    let mut predicate = |k: &VarSet| {
-        let probe = stack.probe(k);
-        last_bytes.set(probe.size);
-        probe.outcome
-    };
-    let mut wrapped = wrap_oracle(&mut predicate, cost, |_| last_bytes.get(), options);
-    let outcome = generalized_binary_reduction_controlled(
-        &instance,
+    let (solution, gbr_calls, cache_hits, cache_misses) = gbr_pass(
+        &stack,
+        model.cnf,
         &order,
-        &mut wrapped,
-        &config,
-        &mut control,
+        keep,
+        BoundarySearch::Bisect,
+        None,
+        cost,
+        options,
+        &mut trace,
     )?;
-    let gbr_calls = wrapped.calls();
-    let (cache_hits, cache_misses) = (wrapped.cache_hits(), wrapped.cache_misses());
-    trace.append_sequential(&wrapped.into_trace());
     let total = calls + gbr_calls;
-    let reduced = (model.materialize)(&outcome.solution);
+    let reduced = (model.materialize)(&solution);
     Ok(StrategyOutput {
         reduced,
         calls: total,
@@ -243,14 +277,17 @@ pub(crate) fn run_transform<I: Input, O: InputOracle<I> + ?Sized>(
     })
 }
 
-/// The trace-guided GBR mode. Phase A runs Binary Reduction over the
-/// lossy-1 graph encoding — cheap, and sound for our models — with a
-/// [`TraceLayer`] recording per-probe coverage (optionally backed by the
-/// service cache as a cross-run trace store). Phase B runs GBR with its
+/// The trace-guided GBR mode. Phase A runs a coverage sweep of
+/// slice-deletion probes under a [`TraceLayer`] recording per-probe
+/// coverage (optionally backed by the service cache as a cross-run trace
+/// store). Phase B runs GBR with its
 /// search space seeded from the covered set and its progression ordered
 /// by trace frequency: items that most failing probes kept are probably
-/// required, so they surface in early progression entries and the binary
-/// search localizes the rest in fewer probes.
+/// required, so they surface in early progression entries and the
+/// boundary search localizes the rest in fewer probes. Phase B is one
+/// call into the core GBR loop (incremental engine, honoring
+/// `options.propagation` and `options.engine`); only its configuration —
+/// search space, order, [`BoundarySearch::Gallop`] — is trace-specific.
 pub(crate) fn run_trace_guided<I: Input, O: InputOracle<I> + ?Sized>(
     input: &I,
     oracle: &O,
@@ -363,105 +400,28 @@ pub(crate) fn run_trace_guided<I: Input, O: InputOracle<I> + ?Sized>(
             survivor = candidate;
         }
     }
-    // Phase B: GBR with a trace-guided boundary search. The sweep's
-    // covered set seeds the search space, its frequencies order the
-    // progression, and — the trace's second dividend — each iteration's
-    // binary search is replaced by a backward gallop from the end of the
-    // progression, started at the boundary gap the previous iteration's
-    // probes recorded. Leaves-first orders put the failure boundary at
-    // the top of the dependency tree, so the minimal failing prefix sits
-    // a handful of entries from the end and the gallop brackets it in
-    // ~2·log2(gap) probes instead of log2(len).
+    // Phase B: the core GBR loop, configured by the trace. The covered set
+    // seeds the search space, trace frequencies order the progression, and
+    // the boundary search gallops backward from the progression's end:
+    // leaves-first orders put the minimal failing prefix a handful of
+    // entries from the end.
     let coverage = trace_layer.snapshot();
     let seed = match coverage.covered() {
         Some(covered) if cnf.eval(covered) => covered.clone(),
         _ => VarSet::full(n),
     };
-    let order_b = history_order(cnf, coverage.frequencies());
-    let last_bytes_b = Cell::new(0u64);
-    let mut predicate_b = |k: &VarSet| {
-        let probe = stack.probe(k);
-        last_bytes_b.set(probe.size);
-        probe.outcome
-    };
-    let mut wrapped_b = wrap_oracle(&mut predicate_b, cost, |_| last_bytes_b.get(), options);
-    let mut learned: Vec<VarSet> = Vec::new();
-    let mut search_space = seed;
-    let mut prev_gap = 1usize;
-    let max_iterations = 4 * n + 16;
-    let mut iteration = 0usize;
-    let solution = loop {
-        if iteration == max_iterations {
-            return Err(GbrError::IterationLimit.into());
-        }
-        if cancelled() {
-            return Err(GbrError::Cancelled.into());
-        }
-        iteration += 1;
-        let progression = build_progression(
-            cnf,
-            &order_b,
-            MsaStrategy::GreedyClosure,
-            &learned,
-            &search_space,
-        )?;
-        let mut prefix_unions: Vec<VarSet> = Vec::with_capacity(progression.len());
-        let mut acc = VarSet::empty(n);
-        for d in &progression {
-            acc.union_with(d);
-            prefix_unions.push(acc.clone());
-        }
-        // D₀: the minimal valid candidate. Failing means done.
-        if wrapped_b.test(&prefix_unions[0]) {
-            break prefix_unions[0].clone();
-        }
-        if progression.len() == 1 {
-            return Err(GbrError::PredicateNotMonotone.into());
-        }
-        let last = progression.len() - 1;
-        let mut lo = 0usize; // D₀ just passed
-        let mut hi = last; // fails by INV-PRO (it is the search space)
-        let mut hi_verified = false;
-        // Backward gallop: probe last-gap, last-2·gap, ... until a prefix
-        // passes (or the range is exhausted), then bisect the bracket.
-        let mut offset = prev_gap.max(1);
-        while offset < last {
-            if cancelled() {
-                return Err(GbrError::Cancelled.into());
-            }
-            let idx = last - offset;
-            if wrapped_b.test(&prefix_unions[idx]) {
-                hi = idx;
-                hi_verified = true;
-                offset = offset.saturating_mul(2);
-            } else {
-                lo = idx;
-                break;
-            }
-        }
-        while hi - lo > 1 {
-            if cancelled() {
-                return Err(GbrError::Cancelled.into());
-            }
-            let mid = lo + (hi - lo) / 2;
-            if wrapped_b.test(&prefix_unions[mid]) {
-                hi = mid;
-                hi_verified = true;
-            } else {
-                lo = mid;
-            }
-        }
-        if !hi_verified && !wrapped_b.test(&prefix_unions[hi]) {
-            return Err(GbrError::PredicateNotMonotone.into());
-        }
-        let r = hi;
-        prev_gap = (last - r).max(1);
-        learned.push(progression[r].clone());
-        search_space = prefix_unions[r].clone();
-    };
-    let calls_b = wrapped_b.calls();
-    let (hits_b, misses_b) = (wrapped_b.cache_hits(), wrapped_b.cache_misses());
-    trace.append_sequential(&wrapped_b.into_trace());
+    let order = history_order(cnf, coverage.frequencies());
+    let (solution, calls_b, hits, misses) = gbr_pass(
+        &stack,
+        model.cnf,
+        &order,
+        seed,
+        BoundarySearch::Gallop,
+        hooks.cancel,
+        cost,
+        options,
+        &mut trace,
+    )?;
     let total = calls_a + calls_b;
     let reduced = (model.materialize)(&solution);
     Ok(StrategyOutput {
@@ -469,6 +429,6 @@ pub(crate) fn run_trace_guided<I: Input, O: InputOracle<I> + ?Sized>(
         calls: total,
         trace,
         model_stats: Some(stats),
-        probe_stats: ProbeStats::sequential(total, hits_b, calls_a + misses_b),
+        probe_stats: ProbeStats::sequential(total, hits, calls_a + misses),
     })
 }

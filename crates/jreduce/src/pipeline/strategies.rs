@@ -274,8 +274,9 @@ impl<I: Input> ReductionStrategy<I> for TransformStrategy {
 /// The trace-guided GBR mode: a coverage sweep of deletion probes seeds
 /// GBR's search space with the covered set, orders its progression by
 /// trace frequency, and guides each iteration's boundary search with the
-/// previously recorded boundary gap. Runs the scan-based MSA only, so it
-/// does not honor the engine choice.
+/// previously recorded boundary gap ([`lbr_core::BoundarySearch::Gallop`]).
+/// The GBR pass is the shared core loop, so it honors the propagation
+/// mode and the engine choice like `logical/greedy`.
 pub(crate) struct TraceGuidedStrategy;
 
 impl<I: Input> ReductionStrategy<I> for TraceGuidedStrategy {
@@ -285,6 +286,7 @@ impl<I: Input> ReductionStrategy<I> for TraceGuidedStrategy {
 
     fn caps(&self) -> StrategyCaps {
         StrategyCaps {
+            honors_engine: true,
             uses_model: true,
             ..StrategyCaps::default()
         }
@@ -466,7 +468,8 @@ mod tests {
         assert!(caps_of("hdd").uses_model);
         assert!(!caps_of("hdd").resumable);
         assert!(caps_of("logical/trace-guided").uses_model);
-        assert!(!caps_of("logical/trace-guided").honors_engine);
+        assert!(caps_of("logical/trace-guided").honors_engine);
+        assert!(!caps_of("logical/trace-guided").resumable);
         assert!(caps_of("transform").honors_engine);
     }
 }
