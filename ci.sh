@@ -45,8 +45,7 @@ grep -q '"format": "stackvm"' "$smoke_dir/seq.json"
 echo "== strategy registry smoke (--list-strategies enumerates the zoo) =="
 # The CLI's strategy table is generated from the registry, not a hardcoded
 # list: the baseline zoo and the trace-guided mode must show up with their
-# capability flags, and trace-guided must claim the engine capability (its
-# GBR pass runs on the shared core loop, which honors --engine/--legacy).
+# capability flags.
 strategies=$(./target/release/reduce --list-strategies)
 for s in "logical/greedy" "jreduce" "ddmin-items" "hdd" "transform" "logical/trace-guided"; do
     echo "$strategies" | grep -q "^$s " || {
@@ -54,62 +53,61 @@ for s in "logical/greedy" "jreduce" "ddmin-items" "hdd" "transform" "logical/tra
         exit 1
     }
 done
-echo "$strategies" | grep "^logical/trace-guided " | grep -q "engine"
 echo "$strategies" | grep "^logical/trace-guided " | grep -q "model"
 
-echo "== CDCL/DPLL differential smoke (bit-identical engines) =="
-# --engine is a pure solver swap: the CDCL run must produce byte-identical
-# output and the same probe-trace digest as the DPLL reference.
+echo "== default/legacy differential smoke (bit-identical propagation) =="
+# --legacy swaps the incremental engine for the scan-BCP baseline without
+# the memo: a pure speed choice, so the run must produce byte-identical
+# output and the same probe-trace digest as the default reference.
 ./target/release/gen --seed 9 --decompiler a --out "$smoke_dir/engine.lbrc" 2>/dev/null
 ./target/release/reduce --input "$smoke_dir/engine.lbrc" --decompiler a \
-    --engine dpll --out "$smoke_dir/engine-dpll.lbrc" \
-    --json "$smoke_dir/engine-dpll.json" >/dev/null 2>&1
+    --out "$smoke_dir/engine-default.lbrc" \
+    --json "$smoke_dir/engine-default.json" >/dev/null 2>&1
 ./target/release/reduce --input "$smoke_dir/engine.lbrc" --decompiler a \
-    --engine cdcl --out "$smoke_dir/engine-cdcl.lbrc" \
-    --json "$smoke_dir/engine-cdcl.json" >/dev/null 2>&1
-cmp "$smoke_dir/engine-dpll.lbrc" "$smoke_dir/engine-cdcl.lbrc"
-dpll_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/engine-dpll.json")
-cdcl_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/engine-cdcl.json")
-[ -n "$dpll_digest" ] && [ "$dpll_digest" = "$cdcl_digest" ]
+    --legacy --out "$smoke_dir/engine-legacy.lbrc" \
+    --json "$smoke_dir/engine-legacy.json" >/dev/null 2>&1
+cmp "$smoke_dir/engine-default.lbrc" "$smoke_dir/engine-legacy.lbrc"
+default_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/engine-default.json")
+legacy_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/engine-legacy.json")
+[ -n "$default_digest" ] && [ "$default_digest" = "$legacy_digest" ]
 
 echo "== cross-format differential smoke (stackvm frontend, same pipeline) =="
-# The stackvm frontend rides the same Input-generic pipeline: both engines
-# must agree bit for bit on a stackvm module, exactly as they do on the
-# classfile container above.
+# The stackvm frontend rides the same Input-generic pipeline: the default
+# and --legacy runs must agree bit for bit on a stackvm module, exactly as
+# they do on the classfile container above.
 ./target/release/gen --format stackvm --seed 9 --decompiler a \
     --out "$smoke_dir/svm.lbrs" 2>/dev/null
 ./target/release/reduce --format stackvm --input "$smoke_dir/svm.lbrs" \
-    --decompiler a --engine dpll --out "$smoke_dir/svm-dpll.lbrs" \
-    --json "$smoke_dir/svm-dpll.json" >/dev/null 2>&1
+    --decompiler a --out "$smoke_dir/svm-default.lbrs" \
+    --json "$smoke_dir/svm-default.json" >/dev/null 2>&1
 ./target/release/reduce --format stackvm --input "$smoke_dir/svm.lbrs" \
-    --decompiler a --engine cdcl --out "$smoke_dir/svm-cdcl.lbrs" \
-    --json "$smoke_dir/svm-cdcl.json" >/dev/null 2>&1
-cmp "$smoke_dir/svm-dpll.lbrs" "$smoke_dir/svm-cdcl.lbrs"
-svm_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/svm-dpll.json")
-svm_cdcl=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/svm-cdcl.json")
-[ -n "$svm_digest" ] && [ "$svm_digest" = "$svm_cdcl" ]
+    --decompiler a --legacy --out "$smoke_dir/svm-legacy.lbrs" \
+    --json "$smoke_dir/svm-legacy.json" >/dev/null 2>&1
+cmp "$smoke_dir/svm-default.lbrs" "$smoke_dir/svm-legacy.lbrs"
+svm_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/svm-default.json")
+svm_legacy=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/svm-legacy.json")
+[ -n "$svm_digest" ] && [ "$svm_digest" = "$svm_legacy" ]
 
-echo "== trace-guided engine smoke (DPLL, CDCL and legacy scan agree) =="
-# Trace-guided's GBR pass honors --engine and --legacy; each is a pure speed
-# choice, so all three runs must produce byte-identical output and the same
-# probe-trace digest, on both formats.
+echo "== trace-guided engine smoke (default and legacy scan agree) =="
+# Trace-guided's GBR pass honors --legacy, a pure speed choice, so both
+# runs must produce byte-identical output and the same probe-trace digest,
+# on both formats.
 for fmt in classfile stackvm; do
     case "$fmt" in
         classfile) in="$smoke_dir/engine.lbrc" ;;
         stackvm) in="$smoke_dir/svm.lbrs" ;;
     esac
-    for mode in "--engine dpll" "--engine cdcl" "--legacy"; do
-        tag=$(echo "$mode" | tr -d ' -')
+    for tag in default legacy; do
+        mode=""
+        [ "$tag" = legacy ] && mode="--legacy"
         ./target/release/reduce --format "$fmt" --input "$in" --decompiler a \
             --strategy trace-guided $mode --out "$smoke_dir/tg-$fmt-$tag.out" \
             --json "$smoke_dir/tg-$fmt-$tag.json" >/dev/null 2>&1
     done
-    cmp "$smoke_dir/tg-$fmt-enginedpll.out" "$smoke_dir/tg-$fmt-enginecdcl.out"
-    cmp "$smoke_dir/tg-$fmt-enginedpll.out" "$smoke_dir/tg-$fmt-legacy.out"
-    tg_dpll=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/tg-$fmt-enginedpll.json")
-    tg_cdcl=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/tg-$fmt-enginecdcl.json")
+    cmp "$smoke_dir/tg-$fmt-default.out" "$smoke_dir/tg-$fmt-legacy.out"
+    tg_default=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/tg-$fmt-default.json")
     tg_legacy=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/tg-$fmt-legacy.json")
-    [ -n "$tg_dpll" ] && [ "$tg_dpll" = "$tg_cdcl" ] && [ "$tg_dpll" = "$tg_legacy" ]
+    [ -n "$tg_default" ] && [ "$tg_default" = "$tg_legacy" ]
 done
 
 echo "== reduction daemon smoke (identical results, kill -9 resume) =="
@@ -144,7 +142,7 @@ got_digest=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/daemon-result.json
 ./target/release/reduce-client --state-dir "$svc" submit \
     --input "$smoke_dir/svm.lbrs" --format stackvm --decompiler a \
     --out "$smoke_dir/svm-daemon.lbrs" --wait >"$smoke_dir/svm-daemon.json"
-cmp "$smoke_dir/svm-dpll.lbrs" "$smoke_dir/svm-daemon.lbrs"
+cmp "$smoke_dir/svm-default.lbrs" "$smoke_dir/svm-daemon.lbrs"
 svm_daemon=$(grep -o '"trace_digest":"[0-9a-f]*"' "$smoke_dir/svm-daemon.json")
 [ "$svm_digest" = "$svm_daemon" ]
 grep -q '"format":"stackvm"' "$smoke_dir/svm-daemon.json"
@@ -317,8 +315,8 @@ echo "== saturation smoke (fixed seed, queue-full must shed, not hang) =="
 ./target/release/loadgen --smoke --seed 1
 
 echo "== differential fuzzing gate (fixed seed, every progression) =="
-# A fixed-seed campaign across every progression — including the I8
-# CDCL-vs-DPLL agreement checks and the P13–P15 baseline-zoo runs (HDD,
+# A fixed-seed campaign across every progression — including the
+# P13–P15 baseline-zoo runs (HDD,
 # transformation passes, trace-guided GBR) — must come back clean. The
 # case stream mixes both frontends and samples the adversarial workload
 # shapes (constraint-dense, wide-flat, deep-chain, multi-error) one case
@@ -353,13 +351,11 @@ fi
 # under the same conditions the gate later runs in (an idle-machine baseline
 # makes every sub-second row read 10-20% slow inside a full CI run).
 if [ "${BENCH_GATE:-0}" = "1" ] || [ "${BENCH_REBASELINE:-0}" = "1" ]; then
-    # The engine/order grid covers the headline strategies plus the CDCL
-    # and learned/portfolio rows; the compare experiment covers the full
-    # baseline zoo — jreduce, logical/greedy, ddmin-items, hdd, transform,
-    # logical/trace-guided. Both run over both frontends, and the baseline
-    # holds one aggregate entry per (strategy, format) pair, so each
-    # strategy is gated at its own level rather than hiding behind a
-    # suite-wide total. Predicate calls are deterministic, so any increase
+    # The compare experiment covers the full baseline zoo — jreduce,
+    # logical/greedy, ddmin-items, hdd, transform, logical/trace-guided —
+    # over both frontends, and the baseline holds one aggregate entry per
+    # (strategy, format) pair, so each strategy is gated at its own level
+    # rather than hiding behind a suite-wide total. Predicate calls are deterministic, so any increase
     # on any row fails the gate outright. Wall numbers are taken
     # sequentially (no cross-job core contention) as the minimum of nine
     # repeats — the same recipe that produced the committed baseline.
@@ -370,24 +366,18 @@ if [ "${BENCH_GATE:-0}" = "1" ] || [ "${BENCH_REBASELINE:-0}" = "1" ]; then
     # both attempts, and the predicate-call gate is deterministic either
     # way.
     measure_suites() {
-        ./target/release/eval --experiment ablate-engine --format both \
-            --programs 2 --scale 0.6 \
-            --threads 1 --repeats 9 --json "$smoke_dir/current.json" >/dev/null
         ./target/release/eval --experiment compare --format both \
             --programs 2 --scale 0.6 \
             --threads 1 --repeats 9 --json "$smoke_dir/current-zoo.json" >/dev/null
     }
     compare_suites() {
         echo "== bench gate (<=10% wall, 0% predicate-call regression vs BENCH_baseline.json) =="
-        ./target/release/bench_compare BENCH_baseline.json "$smoke_dir/current.json" &&
-            echo "== strategy-zoo gate (per-strategy, per-format, same thresholds) ==" &&
-            ./target/release/bench_compare BENCH_baseline.json "$smoke_dir/current-zoo.json"
+        ./target/release/bench_compare BENCH_baseline.json "$smoke_dir/current-zoo.json"
     }
     measure_suites
     if [ "${BENCH_REBASELINE:-0}" = "1" ]; then
         echo "== rebaseline (BENCH_baseline.json from this machine, under CI load) =="
-        ./target/release/bench_compare "$smoke_dir/current.json" \
-            "$smoke_dir/current-zoo.json" --merge-baseline BENCH_baseline.json
+        cp "$smoke_dir/current-zoo.json" BENCH_baseline.json
     else
         if ! compare_suites; then
             echo "-- wall gate tripped; re-measuring once (calls are deterministic, wall is not) --"

@@ -34,8 +34,8 @@ mod strategies;
 mod tests;
 
 pub use lbr_core::{
-    OrderChoice, PipelineError, ReductionStrategy, RunOptions, ServiceHooks, StrategyCaps,
-    StrategyOutput, StrategyRegistry,
+    PipelineError, ReductionStrategy, RunOptions, ServiceHooks, StrategyCaps, StrategyOutput,
+    StrategyRegistry,
 };
 pub use per_error::PerErrorReport;
 pub use probe::CandidateProbe;
@@ -69,9 +69,8 @@ impl SizeMetrics {
 /// The outcome of one reduction run.
 #[derive(Debug, Clone)]
 pub struct ReductionReport<I = Program> {
-    /// Strategy label (the registry name, suffixed for non-default
-    /// options the strategy honors — see
-    /// [`ReductionStrategy::label`]).
+    /// The strategy's canonical registry name
+    /// ([`ReductionStrategy::name`]).
     pub strategy: String,
     /// Input sizes.
     pub initial: SizeMetrics,
@@ -256,7 +255,7 @@ pub(crate) fn dispatch<I: Input, O: InputOracle<I> + ?Sized>(
     let errors_preserved = oracle.preserves_failure(&reduced);
     let still_valid = reduced.validate().is_empty();
     Ok(ReductionReport {
-        strategy: strat.label(options),
+        strategy: strat.name().to_owned(),
         initial,
         final_metrics: SizeMetrics::of(&reduced),
         predicate_calls: calls,

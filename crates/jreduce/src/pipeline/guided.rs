@@ -163,7 +163,6 @@ fn gbr_pass(
 ) -> Result<(VarSet, u64, u64, u64), PipelineError> {
     let config = GbrConfig {
         propagation: options.propagation,
-        engine: options.engine,
         boundary_search,
         ..GbrConfig::default()
     };
@@ -286,8 +285,8 @@ pub(crate) fn run_transform<I: Input, O: InputOracle<I> + ?Sized>(
 /// required, so they surface in early progression entries and the
 /// boundary search localizes the rest in fewer probes. Phase B is one
 /// call into the core GBR loop (incremental engine, honoring
-/// `options.propagation` and `options.engine`); only its configuration —
-/// search space, order, [`BoundarySearch::Gallop`] — is trace-specific.
+/// `options.propagation`); only its configuration — search space, order,
+/// [`BoundarySearch::Gallop`] — is trace-specific.
 pub(crate) fn run_trace_guided<I: Input, O: InputOracle<I> + ?Sized>(
     input: &I,
     oracle: &O,

@@ -42,8 +42,6 @@ impl<I: Input> ReductionStrategy<I> for LogicalStrategy {
             resumable: true,
             speculative: true,
             per_error: true,
-            honors_engine: true,
-            honors_order: true,
             uses_model: true,
         }
     }
@@ -81,7 +79,6 @@ impl<I: Input> ReductionStrategy<I> for NaturalOrderStrategy {
         StrategyCaps {
             resumable: true,
             speculative: true,
-            honors_engine: true,
             uses_model: true,
             ..StrategyCaps::default()
         }
@@ -119,7 +116,6 @@ impl<I: Input> ReductionStrategy<I> for MinimizedStrategy {
 
     fn caps(&self) -> StrategyCaps {
         StrategyCaps {
-            honors_engine: true,
             uses_model: true,
             ..StrategyCaps::default()
         }
@@ -253,7 +249,6 @@ impl<I: Input> ReductionStrategy<I> for TransformStrategy {
 
     fn caps(&self) -> StrategyCaps {
         StrategyCaps {
-            honors_engine: true,
             uses_model: true,
             ..StrategyCaps::default()
         }
@@ -276,7 +271,7 @@ impl<I: Input> ReductionStrategy<I> for TransformStrategy {
 /// trace frequency, and guides each iteration's boundary search with the
 /// previously recorded boundary gap ([`lbr_core::BoundarySearch::Gallop`]).
 /// The GBR pass is the shared core loop, so it honors the propagation
-/// mode and the engine choice like `logical/greedy`.
+/// mode like `logical/greedy`.
 pub(crate) struct TraceGuidedStrategy;
 
 impl<I: Input> ReductionStrategy<I> for TraceGuidedStrategy {
@@ -286,7 +281,6 @@ impl<I: Input> ReductionStrategy<I> for TraceGuidedStrategy {
 
     fn caps(&self) -> StrategyCaps {
         StrategyCaps {
-            honors_engine: true,
             uses_model: true,
             ..StrategyCaps::default()
         }
@@ -463,13 +457,11 @@ mod tests {
         assert!(caps_of("logical/greedy").resumable);
         assert!(caps_of("logical/greedy").per_error);
         assert!(caps_of("logical/natural-order").speculative);
-        assert!(!caps_of("logical/natural-order").honors_order);
         assert!(!caps_of("jreduce").uses_model);
         assert!(caps_of("hdd").uses_model);
         assert!(!caps_of("hdd").resumable);
         assert!(caps_of("logical/trace-guided").uses_model);
-        assert!(caps_of("logical/trace-guided").honors_engine);
         assert!(!caps_of("logical/trace-guided").resumable);
-        assert!(caps_of("transform").honors_engine);
+        assert!(caps_of("transform").uses_model);
     }
 }

@@ -10,13 +10,14 @@
 //! (the same fixtures `session_matrix.rs` pins).
 //!
 //! The same driver then runs the stackvm frontend, pinning its own
-//! digests and cross-checking that every engine (DPLL reference, legacy
-//! scan, CDCL) replays bit-identically on both formats — the
+//! digests and cross-checking that every engine (the default reference,
+//! legacy scan, speculative probing) replays bit-identically on both
+//! formats — the
 //! cross-format differential guarantee: one generic pipeline, two
 //! frontends, zero behavioral divergence.
 
 use lbr_classfile::Program;
-use lbr_core::{EngineChoice, Input, InputOracle};
+use lbr_core::{Input, InputOracle};
 use lbr_decompiler::{BugSet, DecompilerOracle};
 use lbr_jreduce::{check_report, ReductionReport, ReductionSession, RunOptions};
 use lbr_stackvm::{Module, StackBugSet, StackOracle};
@@ -137,20 +138,13 @@ fn assert_pinned<I: Input>(pin: &Pin, tag: &str, report: &ReductionReport<I>) {
 }
 
 /// Runs one input through every engine configuration and asserts they
-/// all replay the DPLL reference bit-identically (bytes, calls, trace),
+/// all replay the default reference bit-identically (bytes, calls, trace),
 /// returning the reference. This is the differential core both formats
 /// share.
 fn engines_agree<I: Input, O: InputOracle<I>>(input: &I, oracle: &O) -> ReductionReport<I> {
     let reference = reduce_via_trait(input, oracle, RunOptions::default());
     let engines = [
         ("legacy-scan", RunOptions::legacy()),
-        (
-            "cdcl",
-            RunOptions {
-                engine: EngineChoice::Cdcl,
-                ..RunOptions::default()
-            },
-        ),
         (
             "probe-threads-2",
             RunOptions {
@@ -164,7 +158,7 @@ fn engines_agree<I: Input, O: InputOracle<I>>(input: &I, oracle: &O) -> Reductio
         assert_eq!(
             report.reduced.to_bytes(),
             reference.reduced.to_bytes(),
-            "{} {tag}: reduced bytes diverge from the DPLL reference",
+            "{} {tag}: reduced bytes diverge from the default reference",
             I::FORMAT
         );
         assert_eq!(

@@ -3,12 +3,11 @@
 //! seeds (7, 8, 11), recorded before the strategy's GBR pass moved onto
 //! the shared `gbr_loop`.
 //!
-//! Every pin must also hold under the scan-based propagation baseline
-//! and under the CDCL engine: both are pure speed choices, so the
-//! reduced bytes, call counts and traces stay bit-identical to the
-//! default configuration.
+//! Every pin must also hold under the scan-based propagation baseline:
+//! it is a pure speed choice, so the reduced bytes, call counts and
+//! traces stay bit-identical to the default configuration.
 
-use lbr::core::{EngineChoice, Input, InputOracle, PropagationMode};
+use lbr::core::{Input, InputOracle, PropagationMode};
 use lbr::decompiler::{BugSet, DecompilerOracle};
 use lbr::jreduce::{check_report, ReductionReport, ReductionSession, RunOptions};
 use lbr::workload::{generate, generate_stack, StackWorkloadConfig, WorkloadConfig};
@@ -66,20 +65,13 @@ const STACKVM_PINS: [Pin; 3] = [
 ];
 
 /// The configurations every pin must hold under.
-fn configurations() -> [(&'static str, RunOptions); 3] {
+fn configurations() -> [(&'static str, RunOptions); 2] {
     [
         ("default", RunOptions::default()),
         (
             "legacy-scan",
             RunOptions {
                 propagation: PropagationMode::LegacyScan,
-                ..RunOptions::default()
-            },
-        ),
-        (
-            "cdcl",
-            RunOptions {
-                engine: EngineChoice::Cdcl,
                 ..RunOptions::default()
             },
         ),
