@@ -8,7 +8,8 @@
 
 use lbr_bench::microbench::{bench, fmt_duration};
 use lbr_core::{
-    closure_size_order, generalized_binary_reduction, GbrConfig, Instance, Oracle, PropagationMode,
+    closure_size_order, generalized_binary_reduction, GbrConfig, Input, Instance, Oracle,
+    PropagationMode,
 };
 use lbr_jreduce::{build_model, run_reduction_with, RunOptions};
 use lbr_logic::{dpll, msa, msa_scan, Lit, MsaStrategy, VarSet};
@@ -86,18 +87,14 @@ fn main() {
         gbr_times[1].as_secs_f64() / gbr_times[0].as_secs_f64().max(1e-12)
     );
 
-    // Probe-cost breakdown: what one oracle probe is made of.
-    let registry = &model.registry;
+    // Probe-cost breakdown: what one oracle probe is made of — the
+    // candidate with its fused byte size, then the tool run on it.
+    let input_model = program.model().expect("valid input");
     let keep = VarSet::full(model.cnf.num_vars());
     let probe_oracle =
         lbr_decompiler::DecompilerOracle::new(&program, lbr_decompiler::BugSet::decompiler_a());
-    bench("probe/reduce-program", || {
-        lbr_jreduce::reduce_program(&program, registry, &keep).len()
-    });
-    let candidate = lbr_jreduce::reduce_program(&program, registry, &keep);
-    bench("probe/byte-size", || {
-        lbr_classfile::program_byte_size(&candidate)
-    });
+    bench("probe/materialize", || (input_model.materialize)(&keep).1);
+    let (candidate, _) = (input_model.materialize)(&keep);
     bench("probe/decompile-errors", || {
         probe_oracle.errors(&candidate).len()
     });

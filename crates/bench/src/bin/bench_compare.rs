@@ -402,15 +402,19 @@ fn compare_identical(baseline: &Json, current: &Json) -> ExitCode {
 /// Service gate over two `BENCH_service.json` files (loadgen output):
 /// per worker count, warm throughput may not drop more than
 /// `threshold_pct` below baseline and warm p95 may not rise more than
-/// `threshold_pct` above it; additionally the highest-worker run must
-/// sustain at least `min_warm_jps` warm jobs/sec absolute.
+/// `threshold_pct` above it, and neither may cold throughput — warm jobs
+/// are result-store replays, so only the cold round measures reductions;
+/// additionally the highest-worker run must sustain at least
+/// `min_warm_jps` warm jobs/sec absolute.
 fn compare_service(
     baseline: &Json,
     current: &Json,
     threshold_pct: f64,
     min_warm_jps: f64,
 ) -> ExitCode {
-    match service_gate(baseline, current, threshold_pct, min_warm_jps) {
+    let gate = service_gate(baseline, current, threshold_pct, min_warm_jps)
+        .map(|failed| cold_gate(baseline, current, threshold_pct) || failed);
+    match gate {
         None => ExitCode::from(2),
         Some(true) => {
             eprintln!(
@@ -419,10 +423,46 @@ fn compare_service(
             ExitCode::FAILURE
         }
         Some(false) => {
-            println!("bench_compare: service throughput and p95 within gates");
+            println!("bench_compare: service warm/cold throughput and p95 within gates");
             ExitCode::SUCCESS
         }
     }
+}
+
+/// The runs of a loadgen output, keyed by worker count.
+fn runs_by_workers(doc: &Json) -> BTreeMap<u64, Json> {
+    doc.get("runs")
+        .map(Json::as_arr)
+        .unwrap_or(&[])
+        .iter()
+        .map(|r| (r.num_field("workers") as u64, r.clone()))
+        .collect()
+}
+
+/// The cold-throughput half of `--service`: per worker count in both
+/// files, cold jobs/sec may not drop more than `threshold_pct` below
+/// baseline. Returns whether it failed.
+fn cold_gate(baseline: &Json, current: &Json, threshold_pct: f64) -> bool {
+    let base = runs_by_workers(baseline);
+    let cold = |r: &Json| {
+        r.get("cold")
+            .map(|c| c.num_field("jobs_per_sec"))
+            .unwrap_or(f64::NAN)
+    };
+    let mut failed = false;
+    for (workers, run) in runs_by_workers(current) {
+        let Some(b) = base.get(&workers) else {
+            continue;
+        };
+        let (base_jps, cur_jps) = (cold(b), cold(&run));
+        let bad = cur_jps.is_nan() || cur_jps < base_jps * (1.0 - threshold_pct / 100.0);
+        failed |= bad;
+        println!(
+            "{workers:>2} workers  cold {base_jps:>8.2} → {cur_jps:>8.2} jobs/s  {}",
+            if bad { "REGRESSION" } else { "ok" }
+        );
+    }
+    failed
 }
 
 /// The shared per-worker-count gate body for `--service` and
@@ -434,16 +474,8 @@ fn service_gate(
     threshold_pct: f64,
     min_warm_jps: f64,
 ) -> Option<bool> {
-    let runs_of = |doc: &Json| -> BTreeMap<u64, Json> {
-        doc.get("runs")
-            .map(Json::as_arr)
-            .unwrap_or(&[])
-            .iter()
-            .map(|r| (r.num_field("workers") as u64, r.clone()))
-            .collect()
-    };
-    let base = runs_of(baseline);
-    let runs = runs_of(current);
+    let base = runs_by_workers(baseline);
+    let runs = runs_by_workers(current);
     let mut compared = 0usize;
     let mut failed = false;
     for (workers, run) in &runs {
@@ -600,10 +632,11 @@ fn main() -> ExitCode {
                 );
                 println!("  --identical  fail unless per-run calls, sizes and cache totals match");
                 println!(
-                    "  --service    gate BENCH_service.json: warm jobs/sec and p95 within PCT%"
+                    "  --service    gate BENCH_service.json: warm jobs/sec, warm p95 and cold"
                 );
-                println!("               of baseline per worker count; with --min-warm-jps, the");
-                println!("               highest-worker run must also sustain that absolute floor");
+                println!("               jobs/sec within PCT% of baseline per worker count; with");
+                println!("               --min-warm-jps, the highest-worker run must also sustain");
+                println!("               that absolute warm floor");
                 println!(
                     "  --cluster    the --service gates over loadgen --cluster output, plus a"
                 );
@@ -632,5 +665,36 @@ fn main() -> ExitCode {
         compare_service(&baseline, &current, threshold_pct, min_warm_jps)
     } else {
         compare_wall(&baseline, &current, threshold_pct, calls_threshold_pct)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(text: &str) -> Json {
+        Parser::new(text).value()
+    }
+
+    fn loadgen(cold_jps: &[(u64, f64)]) -> Json {
+        let runs: Vec<String> = cold_jps
+            .iter()
+            .map(|(workers, jps)| {
+                format!(r#"{{"workers":{workers},"cold":{{"jobs_per_sec":{jps}}}}}"#)
+            })
+            .collect();
+        parse(&format!(r#"{{"runs":[{}]}}"#, runs.join(",")))
+    }
+
+    #[test]
+    fn cold_gate_fails_only_past_the_threshold() {
+        let base = loadgen(&[(2, 10.0), (4, 20.0)]);
+        assert!(!cold_gate(&base, &loadgen(&[(2, 7.5), (4, 30.0)]), 30.0));
+        assert!(cold_gate(&base, &loadgen(&[(2, 10.0), (4, 13.0)]), 30.0));
+        // A worker count missing from the baseline is not compared; a run
+        // without a cold round is a failure, not a pass.
+        assert!(!cold_gate(&base, &loadgen(&[(8, 1.0)]), 30.0));
+        let no_cold = parse(r#"{"runs":[{"workers":2}]}"#);
+        assert!(cold_gate(&base, &no_cold, 30.0));
     }
 }

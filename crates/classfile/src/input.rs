@@ -1,7 +1,8 @@
 //! The classfile frontend behind the format-agnostic [`Input`] trait.
 //!
 //! This is a thin adapter: the logical model is [`build_model`]'s CNF
-//! with [`reduce_program`] as the solution applier, the coarse model is
+//! with a [`ReducePlan`] (the plan behind [`reduce_program`]) as the
+//! solution applier, the coarse model is
 //! [`ClassGraph`]'s class-mention graph with its subset materializer,
 //! and serialization/validation delegate to the existing binary format
 //! and verifier. Every path is the *same code* the pipeline has always
@@ -10,7 +11,7 @@
 
 use crate::classgraph::ClassGraph;
 use crate::model::build_model;
-use crate::reducer::reduce_program;
+use crate::reducer::ReducePlan;
 use crate::{program_byte_size, read_program, verify_program, write_program, Program};
 use lbr_core::{CoarseModel, Input, InputModel};
 use lbr_logic::VarSet;
@@ -21,11 +22,12 @@ impl Input for Program {
     fn model(&self) -> Result<InputModel<'_, Self>, String> {
         let model = build_model(self).map_err(|e| e.to_string())?;
         let stats = model.stats();
-        let registry = model.registry;
+        let plan = ReducePlan::new(self, &model.registry);
         // Containment depth: class/interface files, then the members and
         // relations they declare, then the method/constructor bodies
         // nested inside those members.
-        let levels = registry
+        let levels = model
+            .registry
             .items()
             .iter()
             .map(|item| match item {
@@ -38,7 +40,7 @@ impl Input for Program {
             cnf: model.cnf,
             stats,
             levels,
-            materialize: Box::new(move |keep: &VarSet| reduce_program(self, &registry, keep)),
+            materialize: Box::new(move |keep: &VarSet| plan.materialize(keep)),
         })
     }
 
@@ -46,7 +48,11 @@ impl Input for Program {
         let cg = ClassGraph::new(self);
         CoarseModel {
             graph: cg.graph.clone(),
-            materialize: Box::new(move |keep: &VarSet| cg.subset_program(self, keep)),
+            materialize: Box::new(move |keep: &VarSet| {
+                let program = cg.subset_program(self, keep);
+                let bytes = program.byte_size();
+                (program, bytes)
+            }),
         }
     }
 
@@ -77,6 +83,7 @@ impl Input for Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reducer::reduce_program;
     use crate::{ClassFile, Code, Insn, MethodDescriptor, MethodInfo};
 
     fn sample() -> Program {
@@ -115,10 +122,9 @@ mod tests {
         assert_eq!(trait_model.cnf, concrete.cnf);
         assert_eq!(trait_model.stats, concrete.stats());
         let keep = VarSet::full(trait_model.cnf.num_vars());
-        assert_eq!(
-            (trait_model.materialize)(&keep),
-            reduce_program(&p, &concrete.registry, &keep)
-        );
+        let (candidate, bytes) = (trait_model.materialize)(&keep);
+        assert_eq!(candidate, reduce_program(&p, &concrete.registry, &keep));
+        assert_eq!(bytes, program_byte_size(&candidate));
     }
 
     #[test]
@@ -129,8 +135,9 @@ mod tests {
         let cg = ClassGraph::new(&p);
         let mut keep = VarSet::empty(2);
         keep.insert(cg.node("A").unwrap());
-        let sub = (coarse.materialize)(&keep);
+        let (sub, bytes) = (coarse.materialize)(&keep);
         assert_eq!(sub.len(), 1);
+        assert_eq!(bytes, program_byte_size(&sub));
         assert!(sub.get("A").is_some());
     }
 }

@@ -214,54 +214,80 @@ pub fn class_byte_size(class: &ClassFile) -> usize {
     }
     pool.utf8("Code");
 
-    let mut body = 2 + 2 * class.interfaces.len(); // interface table
-    body += 2 + 8 * class.fields.len(); // field table: flags/name/desc/attrs
     for f in &class.fields {
         pool.utf8(&f.name);
         pool.utf8(&f.ty.descriptor());
     }
-    body += 2; // method count
+    let mut code_attributes = 0;
     for m in &class.methods {
         pool.utf8(&m.name);
         pool.utf8(&m.desc.descriptor());
-        body += 8; // flags/name/desc/attribute count
         if let Some(code) = &m.code {
-            intern_code_refs(code, &mut pool);
-            let code_len: usize = code.insns.iter().map(Insn::encoded_len).sum();
-            // attribute name + length + (stack/locals/len + code + exc + attrs)
-            body += 2 + 4 + (2 + 2 + 4 + code_len + 2 + 2);
+            intern_code_refs(code, &mut pool, |_| {});
+            code_attributes += code_attribute_len(code);
         }
     }
-    body += 2; // class attributes
 
     let pool_bytes: usize = pool.entries().iter().map(constant_size).sum();
-    // magic + version + pool count + pool + flags + this + super.
-    4 + 4 + 2 + pool_bytes + 2 + 2 + 2 + body
+    class_file_len(
+        pool_bytes,
+        class.interfaces.len(),
+        class.fields.len(),
+        class.methods.len(),
+        code_attributes,
+    )
 }
 
-/// Interns exactly the pool entries [`encode_code`] would.
-fn intern_code_refs(code: &Code, pool: &mut ConstantPool) {
+/// The length of a serialized class from its parts: the constant pool's
+/// entry bytes, the member counts, and the summed `Code` attribute
+/// lengths of the methods that have a body.
+pub(crate) fn class_file_len(
+    pool_bytes: usize,
+    interfaces: usize,
+    fields: usize,
+    methods: usize,
+    code_attributes: usize,
+) -> usize {
+    // magic + version + pool count + pool + flags + this + super.
+    let header = 4 + 4 + 2 + pool_bytes + 2 + 2 + 2;
+    // Each table is a count plus fixed-width rows: interface indices,
+    // fields (flags/name/desc/attrs), methods (flags/name/desc/attrs).
+    let tables = (2 + 2 * interfaces) + (2 + 8 * fields) + (2 + 8 * methods);
+    header + tables + code_attributes + 2 // class attributes
+}
+
+/// The bytes a method's `Code` attribute adds to its method row.
+pub(crate) fn code_attribute_len(code: &Code) -> usize {
+    let code_len: usize = code.insns.iter().map(Insn::encoded_len).sum();
+    // attribute name + length + (stack/locals/len + code + exc + attrs)
+    2 + 4 + (2 + 2 + 4 + code_len + 2 + 2)
+}
+
+/// Interns exactly the pool entries [`encode_code`] would, handing each
+/// top-level index to `each`.
+pub(crate) fn intern_code_refs(code: &Code, pool: &mut ConstantPool, mut each: impl FnMut(u16)) {
     for insn in &code.insns {
-        match insn {
+        let index = match insn {
             Insn::LdcClass(c) | Insn::New(c) | Insn::CheckCast(c) | Insn::InstanceOf(c) => {
-                pool.class(c);
+                pool.class(c)
             }
             Insn::GetField(f) | Insn::PutField(f) => {
-                pool.fieldref(&f.class, &f.name, &f.ty.descriptor());
+                pool.fieldref(&f.class, &f.name, &f.ty.descriptor())
             }
             Insn::InvokeVirtual(m) | Insn::InvokeSpecial(m) | Insn::InvokeStatic(m) => {
-                pool.methodref(&m.class, &m.name, &m.desc.descriptor());
+                pool.methodref(&m.class, &m.name, &m.desc.descriptor())
             }
             Insn::InvokeInterface(m) => {
-                pool.interface_methodref(&m.class, &m.name, &m.desc.descriptor());
+                pool.interface_methodref(&m.class, &m.name, &m.desc.descriptor())
             }
-            _ => {}
-        }
+            _ => continue,
+        };
+        each(index);
     }
 }
 
 /// Serialized size of one constant-pool entry (tag byte included).
-fn constant_size(c: &Constant) -> usize {
+pub(crate) fn constant_size(c: &Constant) -> usize {
     1 + match c {
         Constant::Utf8(s) => 2 + s.len(),
         Constant::Integer(_) => 4,

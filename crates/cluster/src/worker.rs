@@ -22,12 +22,10 @@ use lbr_core::{
     MemoryCache, OracleStack, Probe, ProbeCache,
 };
 use lbr_decompiler::{BugSet, DecompilerOracle};
-use lbr_jreduce::{build_model, reduce_program, CandidateProbe};
+use lbr_jreduce::CandidateProbe;
 use lbr_logic::VarSet;
 use lbr_service::Json;
-use lbr_stackvm::{
-    build_stack_model, reduce_module, Module as StackModule, StackBugSet, StackOracle,
-};
+use lbr_stackvm::{Module as StackModule, StackBugSet, StackOracle};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -220,21 +218,8 @@ fn serve_job(
                 _ => StackBugSet::all(),
             };
             let oracle = StackOracle::new(&module, bugs);
-            let model =
-                build_stack_model(&module).map_err(|e| protocol(&format!("bad model: {e}")))?;
-            let registry = &model.registry;
-            let universe = model.cnf.num_vars();
-            let materialize = |keep: &VarSet| reduce_module(&module, registry, keep);
             serve_batches(
-                conn,
-                options,
-                worker,
-                batch,
-                job,
-                descriptor,
-                universe,
-                &materialize,
-                &oracle,
+                conn, options, worker, batch, job, descriptor, &module, &oracle,
             )
         }
         _ => {
@@ -247,26 +232,15 @@ fn serve_job(
                 _ => BugSet::all(),
             };
             let oracle = DecompilerOracle::new(&program, bugs);
-            let model = build_model(&program).map_err(|e| protocol(&format!("bad model: {e}")))?;
-            let registry = &model.registry;
-            let universe = model.cnf.num_vars();
-            let materialize = |keep: &VarSet| reduce_program(&program, registry, keep);
             serve_batches(
-                conn,
-                options,
-                worker,
-                batch,
-                job,
-                descriptor,
-                universe,
-                &materialize,
-                &oracle,
+                conn, options, worker, batch, job, descriptor, &program, &oracle,
             )
         }
     }
 }
 
-/// The format-generic half of [`serve_job`]: stacks the cache tiers over
+/// The format-generic half of [`serve_job`]: builds the input's logical
+/// model (the pipeline's own materializer), stacks the cache tiers over
 /// the job's predicate and answers pulled batches until redirected.
 #[allow(clippy::too_many_arguments)]
 fn serve_batches<I: Input, O: InputOracle<I>>(
@@ -276,12 +250,15 @@ fn serve_batches<I: Input, O: InputOracle<I>>(
     batch: usize,
     job: u64,
     descriptor: &Json,
-    universe: usize,
-    materialize: &(dyn Fn(&VarSet) -> I + Sync),
+    input: &I,
     oracle: &O,
 ) -> io::Result<ServeNext> {
+    let model = input
+        .model()
+        .map_err(|e| protocol(&format!("bad model: {e}")))?;
+    let universe = model.cnf.num_vars();
     let base = CandidateProbe {
-        materialize,
+        materialize: &*model.materialize,
         oracle,
     };
     let local_memo = MemoryCache::new();

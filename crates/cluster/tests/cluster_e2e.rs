@@ -13,11 +13,10 @@
 
 use lbr_classfile::write_program;
 use lbr_cluster::{run_worker, ClusterServer, RemoteFrontier, SharedFrontier, WorkerOptions};
-use lbr_core::{ConcurrentPredicate, FaultPlan, Probe, ProbeDistributor, VerdictSource};
+use lbr_core::{ConcurrentPredicate, FaultPlan, Input, Probe, ProbeDistributor, VerdictSource};
 use lbr_decompiler::{BugSet, DecompilerOracle};
 use lbr_jreduce::{
-    build_model, reduce_program, run_logical_resumable, CandidateProbe, ReductionReport,
-    RunOptions, ServiceHooks,
+    run_logical_resumable, CandidateProbe, ReductionReport, RunOptions, ServiceHooks,
 };
 use lbr_logic::{MsaStrategy, VarSet};
 use lbr_prng::{SliceChoose, SplitMix64};
@@ -102,11 +101,9 @@ fn shuffling_worker(
     stop: &AtomicBool,
 ) {
     let oracle = DecompilerOracle::new(program, BugSet::decompiler_a());
-    let model = build_model(program).expect("worker model");
-    let registry = &model.registry;
-    let materialize = |keep: &VarSet| reduce_program(program, registry, keep);
+    let model = program.model().expect("worker model");
     let base = CandidateProbe {
-        materialize: &materialize,
+        materialize: &*model.materialize,
         oracle: &oracle,
     };
     let mut rng = SplitMix64::seed_from_u64(seed);

@@ -26,6 +26,12 @@ pub struct ModelStats {
     pub graph_fraction: f64,
 }
 
+/// A solution applier: keep-set → (reduced input, its
+/// [`Input::byte_size`]). A frontend may compute the size while it builds
+/// the input instead of walking the result again; the value must equal
+/// `byte_size()` exactly.
+pub type Materialize<'i, I> = dyn Fn(&VarSet) -> (I, usize) + Sync + 'i;
+
 /// A frontend's fine-grained logical model: the CNF dependency
 /// constraints over item variables plus the solution applier.
 ///
@@ -43,8 +49,8 @@ pub struct InputModel<'i, I> {
     /// sweep the tree level by level through this map; flat strategies
     /// ignore it. A frontend without hierarchy reports all zeros.
     pub levels: Vec<u8>,
-    /// Keep-set → reduced input.
-    pub materialize: Box<dyn Fn(&VarSet) -> I + Sync + 'i>,
+    /// Keep-set → (reduced input, its byte size).
+    pub materialize: Box<Materialize<'i, I>>,
 }
 
 /// A frontend's coarse dependency model: one node per top-level unit
@@ -53,8 +59,8 @@ pub struct InputModel<'i, I> {
 pub struct CoarseModel<'i, I> {
     /// The unit-mention dependency graph.
     pub graph: DepGraph,
-    /// Keep-set (over graph nodes) → reduced input.
-    pub materialize: Box<dyn Fn(&VarSet) -> I + Sync + 'i>,
+    /// Keep-set (over graph nodes) → (reduced input, its byte size).
+    pub materialize: Box<Materialize<'i, I>>,
 }
 
 /// A reducible input format.
@@ -174,7 +180,9 @@ mod tests {
                 stats,
                 levels: vec![0; self.0.len()],
                 materialize: Box::new(move |keep: &VarSet| {
-                    Toy(keep.iter().map(|v| self.0[v.index()]).collect())
+                    let toy = Toy(keep.iter().map(|v| self.0[v.index()]).collect());
+                    let bytes = toy.byte_size();
+                    (toy, bytes)
                 }),
             })
         }
@@ -183,7 +191,9 @@ mod tests {
             CoarseModel {
                 graph: DepGraph::new(self.0.len()),
                 materialize: Box::new(move |keep: &VarSet| {
-                    Toy(keep.iter().map(|v| self.0[v.index()]).collect())
+                    let toy = Toy(keep.iter().map(|v| self.0[v.index()]).collect());
+                    let bytes = toy.byte_size();
+                    (toy, bytes)
                 }),
             }
         }
@@ -256,6 +266,6 @@ mod tests {
         let mut keep = VarSet::empty(3);
         keep.insert(lbr_logic::Var::new(0));
         keep.insert(lbr_logic::Var::new(2));
-        assert_eq!((model.materialize)(&keep), Toy(vec![5, 7]));
+        assert_eq!((model.materialize)(&keep), (Toy(vec![5, 7]), 2));
     }
 }

@@ -80,7 +80,7 @@ pub use gbr::{
 };
 pub use graph::{Closure, DepGraph};
 pub use hitting::{reduction_is_faithful, HittingSet};
-pub use input::{CoarseModel, Input, InputModel, InputOracle, ModelStats};
+pub use input::{CoarseModel, Input, InputModel, InputOracle, Materialize, ModelStats};
 pub use keyed::KeyedMap;
 pub use lossy::{lossy_encode, lossy_graph, lossy_is_sound, LossyGraph, LossyPick};
 pub use minimize::{minimize_solution, MinimizeStats};

@@ -28,6 +28,7 @@ use crate::gbr::{GbrCheckpoint, GbrError, PropagationMode};
 use crate::input::{Input, InputOracle, ModelStats};
 use crate::stats::ProbeStats;
 use crate::trace::ReductionTrace;
+use lbr_logic::VarSet;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -196,6 +197,10 @@ pub struct StrategyOutput<I> {
     pub model_stats: Option<ModelStats>,
     /// Unified probe accounting (useful/speculative/memo totals).
     pub probe_stats: ProbeStats,
+    /// The keep-set over the input's logical model ([`Input::model`])
+    /// that `reduced` materializes from; `None` when the strategy reduced
+    /// over another model (the coarse unit graph).
+    pub solution: Option<VarSet>,
 }
 
 /// What a strategy can do — surfaced by `reduce --list-strategies` and
@@ -348,7 +353,9 @@ mod tests {
                 },
                 levels: vec![0; n],
                 materialize: Box::new(move |keep: &VarSet| {
-                    Mini(keep.iter().map(|v| self.0[v.index()]).collect())
+                    let mini = Mini(keep.iter().map(|v| self.0[v.index()]).collect());
+                    let bytes = mini.byte_size();
+                    (mini, bytes)
                 }),
             })
         }
@@ -357,7 +364,9 @@ mod tests {
             CoarseModel {
                 graph: DepGraph::new(self.0.len()),
                 materialize: Box::new(move |keep: &VarSet| {
-                    Mini(keep.iter().map(|v| self.0[v.index()]).collect())
+                    let mini = Mini(keep.iter().map(|v| self.0[v.index()]).collect());
+                    let bytes = mini.byte_size();
+                    (mini, bytes)
                 }),
             }
         }
@@ -408,6 +417,7 @@ mod tests {
                 trace: ReductionTrace::new(),
                 model_stats: None,
                 probe_stats: ProbeStats::sequential(0, 0, 0),
+                solution: None,
             })
         }
     }

@@ -30,7 +30,7 @@
 use crate::case::FuzzCase;
 use lbr_classfile::{verify_program, Program};
 use lbr_cluster::{run_worker, ClusterServer, WorkerOptions};
-use lbr_core::{Input, InputOracle, TestOutcome};
+use lbr_core::{Input, InputModel, InputOracle, TestOutcome};
 use lbr_decompiler::DecompilerOracle;
 use lbr_jreduce::{check_report, ReductionReport, ReductionSession, RunOptions};
 use lbr_logic::{Var, VarSet};
@@ -245,10 +245,17 @@ impl Harness {
         O: InputOracle<I>,
     {
         let mut out = CaseOutcome::default();
+        let model = match input.model() {
+            Ok(model) => model,
+            Err(e) => {
+                out.violations.push(format!("model build failed: {e}"));
+                return out;
+            }
+        };
 
         // P0: the reference — GBR over the logical model, default options.
-        let reference = match session(input, oracle).run() {
-            Ok(report) => report,
+        let (reference, solution) = match session(input, oracle).run_with_solution() {
+            Ok(run) => run,
             Err(e) => {
                 out.violations.push(format!("reference run failed: {e}"));
                 return out;
@@ -256,7 +263,13 @@ impl Harness {
         };
         out.progressions += 1;
         out.predicate_calls = reference.predicate_calls;
-        soundness("I1-I3 reference", &reference, &mut out.violations);
+        soundness(
+            "I1-I3 reference",
+            &reference,
+            solution.as_ref(),
+            &model,
+            &mut out.violations,
+        );
 
         // P1+P2: sessions that must replay the identical search (I4) —
         // the legacy scan engine, and speculative parallel probing (which
@@ -277,10 +290,19 @@ impl Harness {
 
         // P3: the DPLL-conditioned MSA strategy — its own sound result
         // (a different search, so no bit-identity with the reference).
-        match session(input, oracle).strategy("logical/dpll+min").run() {
-            Ok(report) => {
+        match session(input, oracle)
+            .strategy("logical/dpll+min")
+            .run_with_solution()
+        {
+            Ok((report, solution)) => {
                 out.progressions += 1;
-                soundness("I1-I3 dpll-minimize", &report, &mut out.violations);
+                soundness(
+                    "I1-I3 dpll-minimize",
+                    &report,
+                    solution.as_ref(),
+                    &model,
+                    &mut out.violations,
+                );
             }
             Err(e) => out
                 .violations
@@ -296,20 +318,35 @@ impl Harness {
             ("transform", "transform"),
             ("trace-guided", "logical/trace-guided"),
         ] {
-            match session(input, oracle).strategy(name).run() {
-                Ok(report) => {
+            match session(input, oracle).strategy(name).run_with_solution() {
+                Ok((report, solution)) => {
                     out.progressions += 1;
-                    soundness(&format!("I1-I3 {tag}"), &report, &mut out.violations);
+                    soundness(
+                        &format!("I1-I3 {tag}"),
+                        &report,
+                        solution.as_ref(),
+                        &model,
+                        &mut out.violations,
+                    );
                 }
                 Err(e) => out.violations.push(format!("{tag} run failed: {e}")),
             }
         }
 
         // P4: the ddmin baseline — sound, and never beaten by GBR (I5).
-        match session(input, oracle).strategy("ddmin-items").run() {
-            Ok(report) => {
+        match session(input, oracle)
+            .strategy("ddmin-items")
+            .run_with_solution()
+        {
+            Ok((report, solution)) => {
                 out.progressions += 1;
-                soundness("I1-I3 ddmin-items", &report, &mut out.violations);
+                soundness(
+                    "I1-I3 ddmin-items",
+                    &report,
+                    solution.as_ref(),
+                    &model,
+                    &mut out.violations,
+                );
                 // I5 is a regression tripwire, not a theorem: both
                 // reducers are heuristics, and on tiny programs ddmin
                 // occasionally wins by a handful of bytes (fuzzing found
@@ -645,10 +682,30 @@ fn broken_oracle_reduce(program: &Program) -> Program {
 
 /// Appends a violation for every invariant of [`check_report`] the report
 /// breaks (I1: error preserved, I2: verifies + binary round trip, I3: not
-/// grown).
-fn soundness<I: Input>(tag: &str, report: &ReductionReport<I>, violations: &mut Vec<String>) {
+/// grown). I2 also re-materializes the run's solution through the model
+/// and requires the size that comes back with it to equal the result's
+/// `byte_size` — the release-build half of the probe's debug assertion,
+/// since every probe trusts that size. Progressions that must replay the
+/// reference bit for bit (I4) share its result, so checking the distinct
+/// strategies covers every final output.
+fn soundness<I: Input>(
+    tag: &str,
+    report: &ReductionReport<I>,
+    solution: Option<&VarSet>,
+    model: &InputModel<'_, I>,
+    violations: &mut Vec<String>,
+) {
     if let Err(e) = check_report(report) {
         violations.push(format!("{tag}: {e}"));
+    }
+    if let Some(keep) = solution {
+        let (_, bytes) = (model.materialize)(keep);
+        let size = report.reduced.byte_size();
+        if bytes != size {
+            violations.push(format!(
+                "{tag}: I2 materialized size {bytes} differs from byte_size {size}"
+            ));
+        }
     }
 }
 

@@ -43,7 +43,7 @@ pub use strategies::{known_strategy, strategy_caps, strategy_catalog, strategy_r
 
 use lbr_classfile::Program;
 use lbr_core::{Input, InputOracle, ModelStats, ProbeStats, ReductionTrace};
-use lbr_logic::MsaStrategy;
+use lbr_logic::{MsaStrategy, VarSet};
 use std::time::Instant;
 
 /// Size metrics of an input.
@@ -192,6 +192,7 @@ pub fn run_reduction_with<I: Input, O: InputOracle<I> + ?Sized>(
         options,
         ServiceHooks::default(),
     )
+    .map(|(report, _)| report)
 }
 
 /// The logical strategy with [`ServiceHooks`]: the entry point the
@@ -219,13 +220,15 @@ pub fn run_logical_resumable<I: Input, O: InputOracle<I> + ?Sized>(
         options,
         hooks,
     )
+    .map(|(report, _)| report)
 }
 
 /// The one dispatcher every entry point funnels through: look the
 /// strategy up in the registry, check the input actually fails, run the
 /// strategy, assemble the report. Hooks a strategy's
 /// [`caps`](ReductionStrategy::caps) do not claim are ignored by that
-/// strategy.
+/// strategy. Returns the report with the strategy's
+/// [`solution`](StrategyOutput::solution).
 pub(crate) fn dispatch<I: Input, O: InputOracle<I> + ?Sized>(
     input: &I,
     oracle: &O,
@@ -233,7 +236,7 @@ pub(crate) fn dispatch<I: Input, O: InputOracle<I> + ?Sized>(
     cost_per_call_secs: f64,
     options: &RunOptions,
     hooks: ServiceHooks<'_>,
-) -> Result<ReductionReport<I>, PipelineError> {
+) -> Result<(ReductionReport<I>, Option<VarSet>), PipelineError> {
     let registry = strategy_registry::<I>();
     let strat = registry
         .get(strategy)
@@ -251,10 +254,11 @@ pub(crate) fn dispatch<I: Input, O: InputOracle<I> + ?Sized>(
         trace,
         model_stats,
         probe_stats,
+        solution,
     } = strat.run(input, oracle_dyn, cost, options, hooks)?;
     let errors_preserved = oracle.preserves_failure(&reduced);
     let still_valid = reduced.validate().is_empty();
-    Ok(ReductionReport {
+    let report = ReductionReport {
         strategy: strat.name().to_owned(),
         initial,
         final_metrics: SizeMetrics::of(&reduced),
@@ -267,7 +271,8 @@ pub(crate) fn dispatch<I: Input, O: InputOracle<I> + ?Sized>(
         reduced,
         errors_preserved,
         still_valid,
-    })
+    };
+    Ok((report, solution))
 }
 
 /// Reduces once *per distinct baseline error* — the paper's observation

@@ -39,13 +39,14 @@ pub(crate) fn run_jreduce<I: Input, O: InputOracle<I> + ?Sized>(
     let calls = wrapped.calls();
     let (cache_hits, cache_misses) = (wrapped.cache_hits(), wrapped.cache_misses());
     let trace = wrapped.into_trace();
-    let reduced = (coarse.materialize)(&outcome.solution);
+    let reduced = (coarse.materialize)(&outcome.solution).0;
     Ok(StrategyOutput {
         reduced,
         calls,
         trace,
         model_stats: None,
         probe_stats: ProbeStats::sequential(calls, cache_hits, cache_misses),
+        solution: None,
     })
 }
 
@@ -84,13 +85,14 @@ pub(crate) fn run_lossy<I: Input, O: InputOracle<I> + ?Sized>(
     let calls = wrapped.calls();
     let (cache_hits, cache_misses) = (wrapped.cache_hits(), wrapped.cache_misses());
     let trace = wrapped.into_trace();
-    let reduced = (model.materialize)(&outcome.solution);
+    let reduced = (model.materialize)(&outcome.solution).0;
     Ok(StrategyOutput {
         reduced,
         calls,
         trace,
         model_stats: Some(stats),
         probe_stats: ProbeStats::sequential(calls, cache_hits, cache_misses),
+        solution: Some(outcome.solution),
     })
 }
 
@@ -137,12 +139,13 @@ pub(crate) fn run_ddmin<I: Input, O: InputOracle<I> + ?Sized>(
             TestOutcome::Pass
         }
     });
-    let reduced = (model.materialize)(&solution);
+    let reduced = (model.materialize)(&solution).0;
     Ok(StrategyOutput {
         reduced,
         calls,
         trace,
         model_stats: Some(stats),
         probe_stats: ProbeStats::sequential(calls, 0, 0),
+        solution: Some(solution),
     })
 }

@@ -134,13 +134,14 @@ pub(crate) fn run_hdd<I: Input, O: InputOracle<I> + ?Sized>(
         });
         keep = prune_to_deps(&fixed.union(&solution), &closures);
     }
-    let reduced = (model.materialize)(&keep);
+    let reduced = (model.materialize)(&keep).0;
     Ok(StrategyOutput {
         reduced,
         calls,
         trace,
         model_stats: Some(stats),
         probe_stats: ProbeStats::sequential(calls, 0, 0),
+        solution: Some(keep),
     })
 }
 
@@ -266,13 +267,14 @@ pub(crate) fn run_transform<I: Input, O: InputOracle<I> + ?Sized>(
         &mut trace,
     )?;
     let total = calls + gbr_calls;
-    let reduced = (model.materialize)(&solution);
+    let reduced = (model.materialize)(&solution).0;
     Ok(StrategyOutput {
         reduced,
         calls: total,
         trace,
         model_stats: Some(stats),
         probe_stats: ProbeStats::sequential(total, cache_hits, cache_misses),
+        solution: Some(solution),
     })
 }
 
@@ -422,12 +424,13 @@ pub(crate) fn run_trace_guided<I: Input, O: InputOracle<I> + ?Sized>(
         &mut trace,
     )?;
     let total = calls_a + calls_b;
-    let reduced = (model.materialize)(&solution);
+    let reduced = (model.materialize)(&solution).0;
     Ok(StrategyOutput {
         reduced,
         calls: total,
         trace,
         model_stats: Some(stats),
         probe_stats: ProbeStats::sequential(total, hits, calls_a + misses),
+        solution: Some(solution),
     })
 }

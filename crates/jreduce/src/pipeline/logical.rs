@@ -77,13 +77,14 @@ pub(crate) fn run_hooked<I: Input, O: InputOracle<I> + ?Sized>(
             &spec,
             &mut control,
         )?;
-        let reduced = (model.materialize)(&run.outcome.solution);
+        let reduced = (model.materialize)(&run.outcome.solution).0;
         return Ok(StrategyOutput {
             reduced,
             calls: run.stats.useful_calls,
             trace: run.trace,
             model_stats: Some(stats),
             probe_stats: run.stats,
+            solution: Some(run.outcome.solution),
         });
     }
     if options.probe_threads > 1 {
@@ -104,13 +105,14 @@ pub(crate) fn run_hooked<I: Input, O: InputOracle<I> + ?Sized>(
             &spec,
             &mut control,
         )?;
-        let reduced = (model.materialize)(&run.outcome.solution);
+        let reduced = (model.materialize)(&run.outcome.solution).0;
         return Ok(StrategyOutput {
             reduced,
             calls: run.stats.useful_calls,
             trace: run.trace,
             model_stats: Some(stats),
             probe_stats: run.stats,
+            solution: Some(run.outcome.solution),
         });
     }
     let last_bytes = Cell::new(0u64);
@@ -130,13 +132,14 @@ pub(crate) fn run_hooked<I: Input, O: InputOracle<I> + ?Sized>(
     let calls = wrapped.calls();
     let (cache_hits, cache_misses) = (wrapped.cache_hits(), wrapped.cache_misses());
     let trace = wrapped.into_trace();
-    let reduced = (model.materialize)(&outcome.solution);
+    let reduced = (model.materialize)(&outcome.solution).0;
     Ok(StrategyOutput {
         reduced,
         calls,
         trace,
         model_stats: Some(stats),
         probe_stats: ProbeStats::sequential(calls, cache_hits, cache_misses),
+        solution: Some(outcome.solution),
     })
 }
 
@@ -175,12 +178,13 @@ pub(crate) fn run_minimized<I: Input, O: InputOracle<I> + ?Sized>(
     let calls = wrapped.calls();
     let (cache_hits, cache_misses) = (wrapped.cache_hits(), wrapped.cache_misses());
     let trace = wrapped.into_trace();
-    let reduced = (model.materialize)(&minimized);
+    let reduced = (model.materialize)(&minimized).0;
     Ok(StrategyOutput {
         reduced,
         calls,
         trace,
         model_stats: Some(stats),
         probe_stats: ProbeStats::sequential(calls, cache_hits, cache_misses),
+        solution: Some(minimized),
     })
 }

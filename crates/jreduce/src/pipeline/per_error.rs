@@ -89,9 +89,9 @@ pub(crate) fn run_sweep<I: Input, O: InputOracle<I> + ?Sized>(
                     break;
                 };
                 let run_probe = |keep: &VarSet| {
-                    let candidate = materialize(keep);
+                    let (candidate, bytes) = materialize(keep);
                     emulate_tool_latency(options.probe_latency_micros);
-                    (oracle.errors(&candidate), candidate.byte_size() as u64)
+                    (oracle.errors(&candidate), bytes as u64)
                 };
                 // The probe computes error set and size together; the size
                 // metric reads the bytes of the probe that just ran instead
@@ -110,7 +110,7 @@ pub(crate) fn run_sweep<I: Input, O: InputOracle<I> + ?Sized>(
                 let outcome =
                     generalized_binary_reduction(&instance, &order, &mut wrapped, &config);
                 let slot: Slot = outcome.map_err(PipelineError::from).map(|out| {
-                    let reduced = materialize(&out.solution);
+                    let reduced = materialize(&out.solution).0;
                     (
                         (error.clone(), SizeMetrics::of(&reduced)),
                         wrapped.trace().clone(),

@@ -11,7 +11,7 @@
 //! [`Oracle`], the speculative scheduler, or ddmin).
 
 use crate::pipeline::RunOptions;
-use lbr_core::{ConcurrentPredicate, Input, InputOracle, Oracle, Probe};
+use lbr_core::{ConcurrentPredicate, Input, InputOracle, Materialize, Oracle, Probe};
 use lbr_logic::VarSet;
 
 /// The base of every oracle stack: builds the candidate input for a
@@ -24,19 +24,20 @@ use lbr_logic::VarSet;
 /// materialization, same oracle check, same byte-size metric — which is
 /// what keeps remotely computed verdicts bit-identical to local ones.
 pub struct CandidateProbe<'a, I, O: ?Sized> {
-    /// Keep-set → candidate input (item-level reducer or coarse-graph
-    /// subset, depending on the stage).
-    pub materialize: &'a (dyn Fn(&VarSet) -> I + Sync),
+    /// Keep-set → (candidate input, its byte size): the item-level
+    /// reducer or the coarse-graph subset, depending on the stage.
+    pub materialize: &'a Materialize<'a, I>,
     /// The tool oracle the candidate is tested against.
     pub oracle: &'a O,
 }
 
 impl<I: Input, O: InputOracle<I> + ?Sized> ConcurrentPredicate for CandidateProbe<'_, I, O> {
     fn probe(&self, keep: &VarSet) -> Probe {
-        let candidate = (self.materialize)(keep);
+        let (candidate, size) = (self.materialize)(keep);
+        debug_assert_eq!(size, candidate.byte_size());
         Probe {
             outcome: self.oracle.preserves_failure(&candidate),
-            size: candidate.byte_size() as u64,
+            size: size as u64,
         }
     }
 }

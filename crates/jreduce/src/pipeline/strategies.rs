@@ -349,14 +349,14 @@ impl Input for NullInput {
                 graph_fraction: 1.0,
             },
             levels: Vec::new(),
-            materialize: Box::new(|_: &VarSet| NullInput),
+            materialize: Box::new(|_: &VarSet| (NullInput, 0)),
         })
     }
 
     fn coarse_model(&self) -> CoarseModel<'_, Self> {
         CoarseModel {
             graph: DepGraph::new(0),
-            materialize: Box::new(|_: &VarSet| NullInput),
+            materialize: Box::new(|_: &VarSet| (NullInput, 0)),
         }
     }
 

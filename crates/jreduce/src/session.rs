@@ -29,6 +29,7 @@ use crate::pipeline::{
     self, PerErrorReport, PipelineError, ReductionReport, RunOptions, ServiceHooks,
 };
 use lbr_core::{GbrCheckpoint, Input, InputOracle, ProbeCache, ProbeDistributor, PropagationMode};
+use lbr_logic::VarSet;
 
 /// A configured reduction run waiting to happen, generic over the input
 /// format (classfile programs, stackvm modules, any [`Input`]). Build
@@ -165,6 +166,19 @@ impl<'s, I: Input, O: InputOracle<I> + ?Sized> ReductionSession<'s, I, O> {
     ///
     /// See [`PipelineError`].
     pub fn run(self) -> Result<ReductionReport<I>, PipelineError> {
+        self.run_with_solution().map(|(report, _)| report)
+    }
+
+    /// Like [`run`](Self::run), also returning the keep-set over the
+    /// input's logical model ([`Input::model`]) that the report's reduced
+    /// input materializes from — `None` for strategies that reduce over
+    /// the coarse unit graph. Lets a checker re-derive the result from
+    /// the model.
+    ///
+    /// # Errors
+    ///
+    /// See [`PipelineError`].
+    pub fn run_with_solution(self) -> Result<(ReductionReport<I>, Option<VarSet>), PipelineError> {
         pipeline::dispatch(
             self.input,
             self.oracle,

@@ -36,7 +36,11 @@ impl Input for Module {
             cnf: model.cnf,
             stats,
             levels,
-            materialize: Box::new(move |keep: &VarSet| reduce_module(self, &registry, keep)),
+            materialize: Box::new(move |keep: &VarSet| {
+                let module = reduce_module(self, &registry, keep);
+                let bytes = module_byte_size(&module);
+                (module, bytes)
+            }),
         })
     }
 
@@ -44,7 +48,11 @@ impl Input for Module {
         let ug = UnitGraph::new(self);
         CoarseModel {
             graph: ug.graph.clone(),
-            materialize: Box::new(move |keep: &VarSet| ug.subset_module(self, keep)),
+            materialize: Box::new(move |keep: &VarSet| {
+                let module = ug.subset_module(self, keep);
+                let bytes = module_byte_size(&module);
+                (module, bytes)
+            }),
         }
     }
 
@@ -108,10 +116,9 @@ mod tests {
         assert_eq!(trait_model.cnf, concrete.cnf);
         assert_eq!(trait_model.stats, concrete.stats());
         let keep = VarSet::full(trait_model.cnf.num_vars());
-        assert_eq!(
-            (trait_model.materialize)(&keep),
-            reduce_module(&m, &concrete.registry, &keep)
-        );
+        let (candidate, bytes) = (trait_model.materialize)(&keep);
+        assert_eq!(candidate, reduce_module(&m, &concrete.registry, &keep));
+        assert_eq!(bytes, module_byte_size(&candidate));
     }
 
     #[test]
@@ -122,7 +129,8 @@ mod tests {
         let ug = UnitGraph::new(&m);
         let node = ug.function_node(&m, "helper").unwrap();
         let closure = coarse.graph.closure_of([node]);
-        let sub = (coarse.materialize)(&closure);
+        let (sub, bytes) = (coarse.materialize)(&closure);
+        assert_eq!(bytes, module_byte_size(&sub));
         assert!(sub.function("main").is_none());
         assert!(sub.function("helper").is_some());
         assert!(sub.global("g").is_some());

@@ -8,8 +8,8 @@
 //! ```
 
 use lbr::classfile::disassemble_program;
+use lbr::core::Input;
 use lbr::decompiler::{decompile_program, BugSet, DecompilerOracle};
-use lbr::jreduce::{build_model, reduce_program};
 use lbr::logic::VarSet;
 use lbr::workload::{generate, WorkloadConfig};
 
@@ -43,15 +43,10 @@ fn main() {
     println!("  {error}\n");
 
     // Re-derive that witness to render the report.
-    let model = build_model(&program).expect("valid input");
+    let model = program.model().expect("valid input");
     let order = lbr::core::closure_size_order(&model.cnf);
     let instance = lbr::core::Instance::over_all_vars(model.cnf.clone());
-    let registry = &model.registry;
-    let mut predicate = |keep: &VarSet| {
-        oracle
-            .errors(&reduce_program(&program, registry, keep))
-            .contains(error)
-    };
+    let mut predicate = |keep: &VarSet| oracle.errors(&(model.materialize)(keep).0).contains(error);
     let outcome = lbr::core::generalized_binary_reduction(
         &instance,
         &order,
@@ -59,7 +54,7 @@ fn main() {
         &lbr::core::GbrConfig::default(),
     )
     .expect("reduces");
-    let witness = reduce_program(&program, registry, &outcome.solution);
+    let (witness, _) = (model.materialize)(&outcome.solution);
 
     println!("=== attached input (disassembled) ===");
     print!("{}", disassemble_program(&witness));

@@ -14,9 +14,11 @@
 //! bloat and gets removed.
 
 use lbr::classfile::program_byte_size;
-use lbr::core::{closure_size_order, generalized_binary_reduction, GbrConfig, Instance, Oracle};
+use lbr::core::{
+    closure_size_order, generalized_binary_reduction, GbrConfig, Input, Instance, Oracle,
+};
 use lbr::decompiler::{compile, decompile_program, BugSet};
-use lbr::jreduce::{build_model, reduce_program, Item};
+use lbr::jreduce::{build_model, Item};
 use lbr::logic::VarSet;
 use lbr::workload::{generate, WorkloadConfig};
 
@@ -36,6 +38,7 @@ fn main() {
 
     let model = build_model(&program).expect("application verifies");
     let registry = model.registry.clone();
+    let input_model = program.model().expect("application verifies");
 
     // The "test suite": three entry points whose behavior must survive.
     let entry_points = ["Cls0", "Cls1", "Cls2"];
@@ -65,7 +68,7 @@ fn main() {
         }
         // The whole (reduced) application must still build: decompile with
         // a *correct* decompiler and recompile.
-        let candidate = reduce_program(&program, &registry, keep);
+        let (candidate, _) = (input_model.materialize)(keep);
         let source = decompile_program(&candidate, &BugSet::none());
         compile(&source).is_empty()
     };
@@ -77,7 +80,7 @@ fn main() {
         generalized_binary_reduction(&instance, &order, &mut oracle, &GbrConfig::default())
             .expect("debloating succeeds");
 
-    let debloated = reduce_program(&program, &registry, &outcome.solution);
+    let (debloated, _) = (input_model.materialize)(&outcome.solution);
     println!(
         "debloated: {} classes, {} bytes ({:.1}% of the input), {} tool runs",
         debloated.len(),
